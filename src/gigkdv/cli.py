@@ -8,7 +8,9 @@ Outputs carry no timestamps, so identical (binary, config, seed) runs are
 byte-identical.
 
 Exit status: 0 on success/pass, 1 when a verification battery fails,
-2 on usage or domain errors.
+2 on usage or domain errors.  When the reader of standard output goes away
+(`gigkdv lattice run ... | head`), the run stops quietly with status 141,
+the status of a process ended by SIGPIPE.
 """
 
 import argparse
@@ -58,17 +60,25 @@ def _resolve(args, config: dict, name: str, cast, default):
     return default
 
 
+def _seed_value(value, source: str) -> int:
+    """`value` as a seed, i.e. an integer in [0, 2**64)."""
+    try:
+        seed = int(value)
+    except ValueError:
+        raise ConfigError(f"{source} must be an integer, got {value!r}") from None
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{source} must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _resolve_seed(args, config: dict, default: int = 0) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
+        return _seed_value(args.seed, "--seed")
     env = os.environ.get(SEED_ENV)
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV} must be an integer, got {env!r}") from None
+        return _seed_value(env, SEED_ENV)
     if "seed" in config:
-        return int(config["seed"])
+        return _seed_value(config["seed"], "config key 'seed'")
     return default
 
 
@@ -290,7 +300,8 @@ def _cmd_balance_verify(args, config):
                    "a": entry.get("a"), "b": entry.get("b")})
             spec = _balance_spec_from(batch_args, merged)
             n = _resolve(batch_args, merged, "n", int, 100_000)
-            rep = balance.monte_carlo_balance(spec, int(merged.get("seed", seed)), n)
+            rep = balance.monte_carlo_balance(
+                spec, _seed_value(merged.get("seed", seed), "batch seed"), n)
             reports.append(rep.to_dict())
             status = max(status, 0 if rep.passed else 1)
         write_json(args.out, "balance-verify-batch", seed,
@@ -370,7 +381,12 @@ def _cmd_lattice_run(args, config):
 def _cmd_lattice_stationarity(args, config):
     seed = _resolve_seed(args, config)
     cfg, params = _lattice_config_from(args, config, seed)
-    probes = [int(v) for v in (args.probes or "10,25,50").split(",")]
+    text = args.probes or "10,25,50"
+    try:
+        probes = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--probes must be comma-separated integers, got {text!r}") from None
     report = lattice.stationarity_report(cfg, probes)
     params["probes"] = ",".join(str(p) for p in probes)
     write_json(args.out, "lattice-stationarity", seed, params, report.to_dict())
@@ -504,7 +520,14 @@ def dispatch(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        status = dispatch()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send the interpreter's final flush of stdout to /dev/null as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 128 + 13  # SIGPIPE
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,11 @@ Each cell applies the scalar involution to its west/south neighbours,
     (x[n, t], y[n, t]) = f_dk(x[n, t-1], y[n-1, t]),
 
 so the field is determined by boundary data along the t = 0 row (x values)
-and the n = 0 column (y values).  Cells on an anti-diagonal n + t = const
-depend only on the previous diagonal, and the sweep processes diagonals in
-order with all cells of a diagonal computed at once.
+and the n = 0 column (y values).  Rows are computed one at a time in
+O(n_sites) memory.  With x fixed, the carrier y moves along a row by the
+Moebius map of the nonnegative matrix [[alpha x^2, x], [beta x, 1]], so a
+row is a prefix product of 2x2 matrices (Blelloch 1990, CMU-CS-90-190),
+scanned in blocks of `_BLOCK` cells; each cell is still evaluated by `f_dk`.
 
 With boundary draws from the detailed-balance laws -- alternating between
 the input pair and the mapped pair according to the parity of n + t -- the
@@ -17,7 +19,8 @@ reference row of y draws (unused by the dynamics) so that both fields have
 a baseline sample.
 
 Per-cell conservation x[n, t-1] * y[n-1, t] = x[n, t] * y[n, t] holds
-exactly up to round-off and is asserted during the sweep unless disabled.
+exactly up to round-off.  Unless disabled, it is asserted on every cell,
+and each scanned block carrier is checked against the cell it replaces.
 """
 
 import csv
@@ -42,7 +45,7 @@ __all__ = [
     "StationarityReport",
 ]
 
-_BUFFER_CELLS = 2 ** 24  # grid cells held in memory before strip mode
+_BLOCK = 64  # cells per block of the row scan
 
 
 @dataclass(frozen=True)
@@ -134,13 +137,12 @@ def _boundary_arrays(config: LatticeConfig):
         return x0, ycol, yref
     n_idx = np.arange(1, config.n_sites + 1)
     t_idx = np.arange(1, config.horizon + 1)
-    x0 = _parity_draws(config.x_law(0), config.x_law(1), n_idx,
-                       rng_stream(config.seed, 10), rng_stream(config.seed, 11))
-    ycol = _parity_draws(config.y_law(0), config.y_law(1), t_idx,
-                         rng_stream(config.seed, 12), rng_stream(config.seed, 13))
-    yref = _parity_draws(config.y_law(0), config.y_law(1), n_idx,
-                         rng_stream(config.seed, 14), rng_stream(config.seed, 15))
-    return x0, ycol, yref
+    return tuple(  # x0 on streams 10/11, ycol on 12/13, yref on 14/15
+        _parity_draws(law(0), law(1), idx, rng_stream(config.seed, stream),
+                      rng_stream(config.seed, stream + 1))
+        for law, idx, stream in ((config.x_law, n_idx, 10),
+                                 (config.y_law, t_idx, 12),
+                                 (config.y_law, n_idx, 14)))
 
 
 def save_boundary(path, x0: np.ndarray, ycol: np.ndarray, yref: np.ndarray):
@@ -161,67 +163,70 @@ def load_boundary(path):
         if header != ["kind", "index", "value"]:
             raise DomainError(f"{path}: not a boundary file")
         for row in reader:
-            if len(row) != 3 or row[0] not in parts:
-                raise DomainError(f"{path}: malformed boundary row {row!r}")
-            parts[row[0]].append(float(row[2]))
+            try:
+                if len(row) != 3 or row[0] not in parts:
+                    raise ValueError
+                parts[row[0]].append(float(row[2]))
+            except ValueError:
+                raise DomainError(f"{path}: malformed row {row!r}") from None
     return tuple(np.asarray(parts[k]) for k in ("x0", "ycol", "yref"))
 
 
 # ---------------------------------------------------------------------------
-# wavefront sweep
+# row scan
 # ---------------------------------------------------------------------------
 
-def _sweep_block(config: LatticeConfig, x_prev_row: np.ndarray,
-                 ycol: np.ndarray, t_offset: int):
-    """Evolve a strip of `len(ycol)` rows above `x_prev_row`.
-
-    Returns (x_grid, y_grid) of shape (W+1, N+1): row 0 holds the input
-    row, rows 1..W the new frames; column 0 of y holds the boundary.
+def _row(config: LatticeConfig, x_prev: np.ndarray, y_entry: float, t: int):
+    """Row t, (x[., t], y[., t]), from x[., t-1] and y[0, t], in three passes:
+    (1) each block's composite matrix, all blocks at once; (2) the carrier
+    entering each block, composed from y[0, t]; (3) every cell by `f_dk`,
+    all blocks at once, each from its scanned entry carrier.
     """
-    n_sites, w = len(x_prev_row), len(ycol)
-    x = np.full((w + 1, n_sites + 1), np.nan)
-    y = np.full((w + 1, n_sites + 1), np.nan)
-    x[0, 1:] = x_prev_row
-    y[1:, 0] = ycol
-    for d in range(2, n_sites + w + 1):
-        n_lo, n_hi = max(1, d - w), min(n_sites, d - 1)
-        n_arr = np.arange(n_lo, n_hi + 1)
-        t_arr = d - n_arr
-        x_in = x[t_arr - 1, n_arr]
-        y_in = y[t_arr, n_arr - 1]
-        u, v = f_dk(config.map, (x_in, y_in))
-        if config.check_conservation:
-            prod_in = x_in * y_in
-            if not np.all(np.abs(u * v - prod_in) <= 1e-12 * prod_in):
-                raise ArithmeticError(
-                    f"cell conservation violated on diagonal {d + t_offset}")
-        x[t_arr, n_arr] = u
-        y[t_arr, n_arr] = v
+    n = len(x_prev)
+    xb = np.pad(x_prev, (0, -n % _BLOCK), constant_values=1.0)
+    xb = xb.reshape(-1, _BLOCK)  # the padding cells are computed, then dropped
+    m = len(xb) - 1  # the last block's composite feeds no later block
+    a, b, c, d = np.ones(m), np.zeros(m), np.zeros(m), np.ones(m)
+    for k in range(_BLOCK):
+        x = xb[:-1, k]
+        ax2, bx = config.map.alpha * x * x, config.map.beta * x
+        a, b, c, d = ax2 * a + x * c, ax2 * b + x * d, bx * a + c, bx * b + d
+        r = 1.0 / (a + b + c + d)  # entries are >= 0, so nothing cancels
+        a, b, c, d = a * r, b * r, c * r, d * r
+    entry = [float(y_entry)]
+    for ai, bi, ci, di in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()):
+        entry.append((ai * entry[-1] + bi) / (ci * entry[-1] + di))
+    entry = carrier = np.array(entry)
+    u, v = np.empty_like(xb), np.empty_like(xb)
+    for k in range(_BLOCK):
+        u[:, k], carrier = f_dk(config.map, (xb[:, k], carrier))
+        v[:, k] = carrier
+    x, y = u.ravel()[:n], v.ravel()[:n]
+    if config.check_conservation:  # a drifted carrier also breaks conservation
+        if not np.all(np.abs(entry[1:] - v[:-1, -1]) <= 1e-12 * v[:-1, -1]):
+            raise ArithmeticError(f"scanned block carrier drifted in row {t}")
+        prod_in = x_prev * np.concatenate((entry[:1], y[:-1]))
+        if not np.all(np.abs(x * y - prod_in) <= 1e-12 * prod_in):
+            raise ArithmeticError(f"cell conservation violated in row {t}")
     return x, y
 
 
 def evolve(config: LatticeConfig):
     """Yield LatticeFrame(t) for t = 0..horizon.
 
-    Frame 0 holds the boundary x row and the reference y row.  Every
-    produced value is strictly positive; identical configs (same seed)
-    produce bit-identical streams.  Strips of rows are computed at a time
-    so memory stays below ~`_BUFFER_CELLS` grid cells.
+    Frame 0 holds the boundary x row and the reference y row.  Each later
+    frame is computed from the one before (see `_row`), so memory stays
+    O(n_sites) for any horizon.  Every produced value is strictly positive;
+    identical configs (same seed) produce bit-identical streams.
     """
     x0, ycol, yref = _boundary_arrays(config)
-    if np.any(x0 <= 0.0) or np.any(ycol <= 0.0) or np.any(yref <= 0.0):
-        raise DomainError("boundary values must be > 0")
+    if not all(np.all((a > 0.0) & np.isfinite(a)) for a in (x0, ycol, yref)):
+        raise DomainError("boundary values must be finite and > 0")
     yield LatticeFrame(0, x0.copy(), yref.copy())
-    strip = max(1, min(config.horizon, _BUFFER_CELLS // (config.n_sites + 1)))
-    x_prev = x0
-    t_done = 0
-    while t_done < config.horizon:
-        w = min(strip, config.horizon - t_done)
-        xg, yg = _sweep_block(config, x_prev, ycol[t_done:t_done + w], t_done)
-        for k in range(1, w + 1):
-            yield LatticeFrame(t_done + k, xg[k, 1:], yg[k, 1:])
-        x_prev = xg[w, 1:]
-        t_done += w
+    x = x0
+    for t in range(1, config.horizon + 1):
+        x, y = _row(config, x, ycol[t - 1], t)
+        yield LatticeFrame(t, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +267,11 @@ def stationarity_report(config: LatticeConfig, probe_times,
     if seed is not None:
         config = replace(config, seed=seed)
 
-    frames = {}
-    for frame in evolve(config):
-        if frame.t == 0 or frame.t in probes:
-            frames[frame.t] = frame
+    frames = {f.t: f for f in evolve(config) if f.t == 0 or f.t in probes}
 
     n_idx = np.arange(1, config.n_sites + 1)
     report = StationarityReport(probe_times=probes, n_sites=config.n_sites,
                                 seed=config.seed)
-    all_ok = True
     for t in probes:
         for parity in (0, 1):
             base_mask = n_idx % 2 == parity
@@ -279,12 +280,10 @@ def stationarity_report(config: LatticeConfig, probe_times,
                 base = getattr(frames[0], f"{fld}_row")[base_mask]
                 cur = getattr(frames[t], f"{fld}_row")[probe_mask]
                 res = stats.ks_2samp(cur, base)
-                ok = res.pvalue > p_threshold
-                all_ok &= ok
                 report.tests.append({
                     "field": fld, "t": t, "parity": parity,
                     "statistic": float(res.statistic),
                     "p_value": float(res.pvalue),
-                    "n_probe": int(len(cur)), "pass": bool(ok)})
-    report.passed = bool(all_ok)
+                    "n_probe": int(len(cur)), "pass": bool(res.pvalue > p_threshold)})
+    report.passed = all(row["pass"] for row in report.tests)
     return report

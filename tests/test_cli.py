@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -182,3 +185,64 @@ class TestLattice:
         run(argv + ["--out", str(a)])
         run(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+LATTICE = ["lattice", "stationarity", "--n", "50", "--t", "4", "--probes", "2,4"]
+
+
+def _config_seed(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("seed=abc\n")
+    return LATTICE + ["--config", str(path)]
+
+
+def _replay_text(tmp_path):
+    path = tmp_path / "boundary.csv"
+    path.write_text("kind,index,value\nx0,1,1.5\nx0,2,oops\n")
+    return LATTICE + ["--replay", str(path)]
+
+
+def _batch_seed(tmp_path):
+    path = tmp_path / "batch.txt"
+    path.write_text("variant=fdk n=100 seed=-3\n")
+    return ["balance", "verify", "--batch", str(path)]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv,env", [
+        (LATTICE + ["--seed", "-1"], None),
+        (["dist", "sample", "--seed", str(2**64)], None),
+        (LATTICE, "99999999999999999999999"),
+        (LATTICE, "abc"),
+        (_config_seed, None),
+        (LATTICE + ["--probes", "5,x"], None),
+        (_replay_text, None),
+        (_batch_seed, None),
+    ], ids=["flag-seed-negative", "flag-seed-too-big", "env-seed-too-big",
+            "env-seed-text", "config-seed-text", "probes-text", "replay-text",
+            "batch-seed-negative"])
+    def test_exits_2_with_one_line(self, argv, env, tmp_path, capsys,
+                                   monkeypatch):
+        if env is None:
+            monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV, env)
+        if callable(argv):
+            argv = argv(tmp_path)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
+
+    def test_closed_pipe_ends_quietly(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from gigkdv.cli import main; main()",
+             "lattice", "run", "--n", "20000", "--t", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"# gigkdv v")
+        proc.stdout.close()  # as `| head -1` does
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""

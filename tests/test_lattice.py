@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -12,6 +14,27 @@ P12 = maps.MapParams(1.0, 2.0)
 def small_config(n=200, t=12, seed=3, **kwargs):
     return lattice.stationary_config(P12, lam=0.5, c1=1.0, c2=1.0,
                                      n_sites=n, horizon=t, seed=seed, **kwargs)
+
+
+def cell_oracle(cfg):
+    """The lattice one cell at a time: x[n,t], y[n,t] = f_dk(x[n,t-1], y[n-1,t])."""
+    x0, ycol, _ = lattice._boundary_arrays(cfg)
+    x = np.empty((cfg.n_sites + 1, cfg.horizon + 1))
+    y = np.empty_like(x)
+    x[1:, 0], y[0, 1:] = x0, ycol
+    for t in range(1, cfg.horizon + 1):
+        for n in range(1, cfg.n_sites + 1):
+            x[n, t], y[n, t] = maps.f_dk(cfg.map, (x[n, t - 1], y[n - 1, t]))
+    return x[1:, 1:].T, y[1:, 1:].T
+
+
+def assert_matches_oracle(cfg):
+    frames = list(lattice.evolve(cfg))[1:]
+    x_ref, y_ref = cell_oracle(cfg)
+    assert len(frames) == cfg.horizon
+    for f in frames:
+        np.testing.assert_allclose(f.x_row, x_ref[f.t - 1], rtol=1e-12)
+        np.testing.assert_allclose(f.y_row, y_ref[f.t - 1], rtol=1e-12)
 
 
 class TestEvolve:
@@ -50,15 +73,41 @@ class TestEvolve:
             assert np.array_equal(a.y_row, b.y_row)
             assert np.all(a.x_row > 0.0) and np.all(a.y_row > 0.0)
 
-    def test_strip_mode_matches_single_block(self, monkeypatch):
-        whole = [(f.x_row.copy(), f.y_row.copy())
-                 for f in lattice.evolve(small_config())]
-        monkeypatch.setattr(lattice, "_BUFFER_CELLS", 1000)  # forces strips
-        strips = [(f.x_row.copy(), f.y_row.copy())
-                  for f in lattice.evolve(small_config())]
-        for (xa, ya), (xb, yb) in zip(whole, strips):
-            assert np.array_equal(xa, xb)
-            assert np.array_equal(ya, yb)
+    @pytest.mark.parametrize("t", [1, 12])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 1000])
+    @pytest.mark.parametrize("alpha,beta", [(1, 2), (0.5, 3), (1, 0), (0, 2)])
+    def test_matches_cell_oracle(self, alpha, beta, n, t):
+        cfg = lattice.stationary_config(maps.MapParams(alpha, beta), lam=0.5,
+                                        c1=1.0, c2=1.0, n_sites=n, horizon=t,
+                                        seed=n + t)
+        assert_matches_oracle(cfg)
+
+    def test_matches_cell_oracle_asymmetric(self):
+        cfg = lattice.stationary_config(maps.MapParams(0.5, 3.0), lam=-0.5,
+                                        c1=1.0, c2=3.0, n_sites=300, horizon=7,
+                                        seed=21)
+        assert_matches_oracle(cfg)
+
+    def test_memory_linear_in_row(self):
+        n = 200_000
+        cfg = small_config(n=n, t=60, seed=5)
+        tracemalloc.start()
+        try:
+            for _ in lattice.evolve(cfg):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n * 8, peak / (n * 8)
+
+    def test_checks_catch_a_wrong_cell(self, monkeypatch):
+        def skewed(p, xy):
+            u, v = maps.f_dk(p, xy)
+            return u, v * (1.0 + 1e-9)
+        monkeypatch.setattr(lattice, "f_dk", skewed)
+        with pytest.raises(ArithmeticError):
+            list(lattice.evolve(small_config()))
+        list(lattice.evolve(small_config(check_conservation=False)))
 
     def test_replay_boundary(self, tmp_path):
         cfg = small_config()
