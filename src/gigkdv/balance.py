@@ -50,6 +50,7 @@ __all__ = [
     "transport_residual",
     "transport_grid_max",
     "matrix_normalizers",
+    "spec_params",
     "distance_correlation_test",
     "monte_carlo_balance",
     "machinery_check",
@@ -206,6 +207,13 @@ def transport_grid_max(spec: BalanceSpec, grid_n: int = 20,
 # distance-correlation independence test
 # ---------------------------------------------------------------------------
 
+_BATCH_CELLS = 1 << 16  # permutation cells per batch: 65 permutations at m = 1000
+# Permutation statistics within this relative distance of the observed one
+# count as ties (>=): round-off, about 1e-13 relative, must not split
+# statistics that are mathematically equal, as with tied data or m = 2.
+_TIE_RTOL = 1e-10
+
+
 def _dist_matrix(z: np.ndarray) -> np.ndarray:
     # z: (m, d) sample; returns the double-centered distance matrix
     diff = z[:, None, :] - z[None, :, :]
@@ -213,14 +221,112 @@ def _dist_matrix(z: np.ndarray) -> np.ndarray:
     return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
 
 
+def _dcor_matrices(u: np.ndarray, v: np.ndarray):
+    """Statistic of (u, v[idx]) for rows idx, from the double-centered
+    distance matrices of (m, d) samples; None if a sample is constant."""
+    ca, cb = _dist_matrix(u), _dist_matrix(v)
+    dvar = math.sqrt(max(float((ca * ca).mean()), 0.0)
+                     * max(float((cb * cb).mean()), 0.0))
+    if dvar <= 0.0:
+        return None
+
+    def dcor_of(idx):
+        dcov2 = max(float((ca * cb[np.ix_(idx, idx)]).mean()), 0.0)
+        return math.sqrt(dcov2 / math.sqrt(dvar))
+
+    return lambda rows: np.array([dcor_of(idx) for idx in rows])
+
+
+def _sorted_row_sums(z: np.ndarray):
+    """(sort order of z, sorted z minus its median, sum_j |z_i - z_j| of each
+    sorted z_i), the sums from prefix sums of the sorted sample."""
+    order = np.argsort(z, kind="stable")
+    d = z[order] - z[order[len(z) // 2]]  # exact zeros for a constant sample
+    k = np.arange(len(d))
+    cs = np.cumsum(d)
+    return order, d, (k * d - (cs - d)) + ((cs[-1] - cs) - (len(d) - 1 - k) * d)
+
+
+def _dcor_1d(u: np.ndarray, v: np.ndarray):
+    """Statistic of (u, v[idx]) for rows idx, 1-D samples, in O(m log m) per
+    row; None if a sample is constant.
+
+    With a_ij = |u_i - u_j|, row sums a_i. and total a.. (b likewise),
+    m^2 dCov^2 = sum_ij a_ij b_ij - (2/m) sum_i a_i. b_i. + a.. b.. / m^2
+    (Huo & Szekely 2016, Technometrics 58(4)).  Only the first two sums
+    depend on the pairing.  With u sorted, the first is 2 (2 C - T): T is the
+    sum of (u_j - u_i)(v_j - v_i) over i < j, an O(m) cross product, and C
+    the same sum over concordant pairs, i.e. over the 2-D dominance pairs
+    of (position, rank of v).  C is summed over the log2(m) levels of a
+    bottom-up merge: at each level every block of positions is put in rank
+    order, and each pair with i in the block's left half and j in its right
+    half is counted once, through prefix sums within the block.
+    """
+    m = len(u)
+    ou, us, a = _sorted_row_sums(u)
+    ov, vs, b = _sorted_row_sums(v)
+    m2 = float(m) * m
+
+    def dcov2_self(z, rowsum):
+        sum_sq = 2.0 * m * np.dot(z, z) - 2.0 * z.sum() ** 2  # sum_ij (z_i - z_j)^2
+        total = rowsum.sum()
+        return sum_sq / m2 - 2.0 * np.dot(rowsum, rowsum) / (m2 * m) + total * total / (m2 * m2)
+
+    dvar = math.sqrt(max(dcov2_self(us, a), 0.0) * max(dcov2_self(vs, b), 0.0))
+    if dvar <= 0.0:
+        return None
+    rank_v = np.empty(m, dtype=np.intp)
+    rank_v[ov] = np.arange(m)
+    levels = max(1, (m - 1).bit_length())
+    width = 1 << levels
+    pad = width - m
+    # padding cells take the last positions and the lowest ranks, with zero
+    # values, so every pair that involves one contributes exactly zero
+    us_pad = np.concatenate((us, np.zeros(pad)))
+    vs_pad = np.concatenate((np.zeros(pad), vs))
+    block_key = np.min_scalar_type(width >> 1)  # small keys: numpy radix-sorts them
+    cross0 = us.sum() * vs.sum()
+    const = a.sum() * b.sum() / (m2 * m2)
+
+    def dcor_of(rows):
+        n_rows = len(rows)
+        r = rank_v[rows[:, ou]]  # rank of the v paired with the k-th smallest u
+        cross = m * (vs[r] @ us) - cross0
+        row_term = b[r] @ a
+        grid = np.arange(n_rows)[:, None]
+        by_rank = np.empty((n_rows, width), dtype=np.intp)  # positions in rank order
+        by_rank[:, :pad] = np.arange(m, width)
+        by_rank[grid, r + pad] = np.arange(m)
+        conc = np.zeros(n_rows)
+        for lev in range(levels):
+            key = (by_rank >> (lev + 1)).astype(block_key)
+            rank = np.argsort(key, axis=1, kind="stable")
+            pos = by_rank[grid, rank]
+            left = 1.0 - ((pos >> lev) & 1)
+            uu, ww = us_pad[pos], vs_pad[rank]
+            sums = np.stack((left, left * uu, left * ww, left * uu * ww))
+            blocks = sums.reshape(4, n_rows, width >> (lev + 1), 2 << lev)
+            np.cumsum(blocks, axis=-1, out=blocks)
+            cnt, su, sw, suw = sums
+            conc += np.einsum("pk,pk->p", 1.0 - left,
+                              cnt * uu * ww - uu * sw - ww * su + suw)
+        dcov2 = 2.0 * (2.0 * conc - cross) / m2 - 2.0 * row_term / (m2 * m) + const
+        return np.sqrt(np.maximum(dcov2, 0.0) / math.sqrt(dvar))
+
+    return dcor_of
+
+
 def distance_correlation_test(u: np.ndarray, v: np.ndarray,
                               n_perm: int = 499,
                               rng: np.random.Generator | None = None):
     """Distance correlation of two samples with a permutation p-value.
 
-    Returns (dcor, p).  The double-centered distance matrices are computed
-    once; each permutation only re-indexes the second one, so the test
-    costs O(n_perm * m^2) after an O(m^2 d) setup.  The p-value
+    Returns (dcor, p).  For 1-D samples every statistic comes from sorting
+    and dominance sums, O(m log m) per permutation; permutations are
+    batched, so that a batch costs O(log m) numpy steps, in
+    O(_BATCH_CELLS + m) memory.  For d > 1 the double-centered distance
+    matrices are computed once and each permutation re-indexes the second
+    one, O(m^2) per permutation after an O(m^2 d) setup.  The p-value
     (1 + #{perm >= observed}) / (n_perm + 1) is exact under independence.
     """
     if rng is None:
@@ -230,23 +336,19 @@ def distance_correlation_test(u: np.ndarray, v: np.ndarray,
     m = u.shape[0]
     if v.shape[0] != m:
         raise DomainError("samples must have equal length")
-    ca = _dist_matrix(u.reshape(m, -1))
-    cb = _dist_matrix(v.reshape(m, -1))
-    dvar = math.sqrt(max(float((ca * ca).mean()), 0.0)
-                     * max(float((cb * cb).mean()), 0.0))
-    if dvar <= 0.0:
+    u, v = u.reshape(m, -1), v.reshape(m, -1)
+    if u.shape[1] == v.shape[1] == 1:
+        dcor_of = _dcor_1d(u[:, 0], v[:, 0])
+    else:
+        dcor_of = _dcor_matrices(u, v)
+    if dcor_of is None:
         return 0.0, 1.0
-
-    def dcor_of(cb_mat):
-        dcov2 = max(float((ca * cb_mat).mean()), 0.0)
-        return math.sqrt(dcov2 / math.sqrt(dvar)) if dvar > 0 else 0.0
-
-    obs = dcor_of(cb)
-    hits = 0
-    for _ in range(n_perm):
-        idx = rng.permutation(m)
-        if dcor_of(cb[np.ix_(idx, idx)]) >= obs:
-            hits += 1
+    obs = float(dcor_of(np.arange(m)[None, :])[0])
+    hits, batch = 0, max(1, _BATCH_CELLS // m)
+    for start in range(0, n_perm, batch):
+        rows = np.array([rng.permutation(m)
+                         for _ in range(min(batch, n_perm - start))])
+        hits += int(np.count_nonzero(dcor_of(rows) >= obs - _TIE_RTOL * obs))
     return obs, (1.0 + hits) / (n_perm + 1.0)
 
 
@@ -318,7 +420,8 @@ class BalanceReport:
         }
 
 
-def _spec_params_dict(spec: BalanceSpec) -> dict:
+def spec_params(spec: BalanceSpec) -> dict:
+    """Map and law parameters of a spec, as reports record them."""
     out = {"alpha": spec.map.alpha, "beta": spec.map.beta, "lambda": spec.lam}
     if spec.variant == "matrix":
         out.update(r=spec.r, a=spec.a.tolist(), b=spec.b.tolist())
@@ -368,7 +471,7 @@ def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
     flags["independence"] = ind.p_value > p_threshold
     flags["transport"] = resid <= 1e-9
     report = BalanceReport(
-        variant=spec.variant, params=_spec_params_dict(spec), seed=seed, n=n,
+        variant=spec.variant, params=spec_params(spec), seed=seed, n=n,
         max_log_residual=resid, residual_tol=1e-9, ks_stats=ks,
         independence=ind, pass_flags=flags, passed=all(flags.values()))
     return report
@@ -426,7 +529,7 @@ def _matrix_balance(spec, seed, n, dcor_m, n_perm, mcmc, p_threshold):
     flags["transport"] = resid <= tol
     flags["mcmc_ok"] = all(runs[k].ok for k in runs)
     return BalanceReport(
-        variant="matrix", params=_spec_params_dict(spec), seed=seed, n=n,
+        variant="matrix", params=spec_params(spec), seed=seed, n=n,
         max_log_residual=resid, residual_tol=tol, ks_stats=ks,
         independence=ind, pass_flags=flags, mcmc=mcmc_diag,
         passed=all(flags.values()))

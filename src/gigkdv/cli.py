@@ -300,8 +300,9 @@ def _cmd_balance_verify(args, config):
                    "a": entry.get("a"), "b": entry.get("b")})
             spec = _balance_spec_from(batch_args, merged)
             n = _resolve(batch_args, merged, "n", int, 100_000)
-            rep = balance.monte_carlo_balance(
-                spec, _seed_value(merged.get("seed", seed), "batch seed"), n)
+            entry_seed = (_seed_value(entry["seed"], "batch seed")
+                          if "seed" in entry else seed)
+            rep = balance.monte_carlo_balance(spec, entry_seed, n)
             reports.append(rep.to_dict())
             status = max(status, 0 if rep.passed else 1)
         write_json(args.out, "balance-verify-batch", seed,
@@ -317,13 +318,7 @@ def _cmd_balance_verify(args, config):
 
 
 def spec_params(spec, n):
-    out = {"variant": spec.variant, "alpha": spec.map.alpha,
-           "beta": spec.map.beta, "lambda": spec.lam, "n": n}
-    if spec.variant == "matrix":
-        out.update(r=spec.r, a=spec.a.tolist(), b=spec.b.tolist())
-    else:
-        out.update(c1=spec.c1, c2=spec.c2)
-    return out
+    return {"variant": spec.variant, "n": n, **balance.spec_params(spec)}
 
 
 def _cmd_balance_machinery(args, config):

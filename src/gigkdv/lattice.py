@@ -130,10 +130,12 @@ def _boundary_arrays(config: LatticeConfig):
     """(x row at t=0, y column for t=1..T, reference y row at t=0)."""
     if isinstance(config.boundary, Replay):
         x0, ycol, yref = load_boundary(config.boundary.path)
-        if len(x0) != config.n_sites or len(ycol) != config.horizon:
+        if (len(x0), len(ycol), len(yref)) != (config.n_sites, config.horizon,
+                                                config.n_sites):
             raise DomainError(
-                f"replay sizes ({len(x0)}, {len(ycol)}) do not match the "
-                f"config ({config.n_sites}, {config.horizon})")
+                f"replay sizes (x0 {len(x0)}, ycol {len(ycol)}, yref "
+                f"{len(yref)}) do not match the config (n {config.n_sites}, "
+                f"t {config.horizon})")
         return x0, ycol, yref
     n_idx = np.arange(1, config.n_sites + 1)
     t_idx = np.arange(1, config.horizon + 1)
@@ -176,6 +178,11 @@ def load_boundary(path):
 # row scan
 # ---------------------------------------------------------------------------
 
+def _out_of_range(t: int) -> DomainError:
+    return DomainError(f"row {t} leaves the floating-point range; the "
+                       "boundary values are too large or too small")
+
+
 def _row(config: LatticeConfig, x_prev: np.ndarray, y_entry: float, t: int):
     """Row t, (x[., t], y[., t]), from x[., t-1] and y[0, t], in three passes:
     (1) each block's composite matrix, all blocks at once; (2) the carrier
@@ -187,26 +194,35 @@ def _row(config: LatticeConfig, x_prev: np.ndarray, y_entry: float, t: int):
     xb = xb.reshape(-1, _BLOCK)  # the padding cells are computed, then dropped
     m = len(xb) - 1  # the last block's composite feeds no later block
     a, b, c, d = np.ones(m), np.zeros(m), np.zeros(m), np.ones(m)
-    for k in range(_BLOCK):
-        x = xb[:-1, k]
-        ax2, bx = config.map.alpha * x * x, config.map.beta * x
-        a, b, c, d = ax2 * a + x * c, ax2 * b + x * d, bx * a + c, bx * b + d
-        r = 1.0 / (a + b + c + d)  # entries are >= 0, so nothing cancels
-        a, b, c, d = a * r, b * r, c * r, d * r
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for k in range(_BLOCK):
+            x = xb[:-1, k]
+            ax2, bx = config.map.alpha * x * x, config.map.beta * x
+            a, b, c, d = ax2 * a + x * c, ax2 * b + x * d, bx * a + c, bx * b + d
+            r = 1.0 / (a + b + c + d)  # entries are >= 0, so nothing cancels
+            a, b, c, d = a * r, b * r, c * r, d * r
+    if not np.all(np.isfinite(a + b + c + d)):  # alpha x^2 overflowed
+        raise _out_of_range(t)
     entry = [float(y_entry)]
     for ai, bi, ci, di in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()):
         entry.append((ai * entry[-1] + bi) / (ci * entry[-1] + di))
     entry = carrier = np.array(entry)
     u, v = np.empty_like(xb), np.empty_like(xb)
-    for k in range(_BLOCK):
-        u[:, k], carrier = f_dk(config.map, (xb[:, k], carrier))
-        v[:, k] = carrier
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(_BLOCK):
+            u[:, k], carrier = f_dk(config.map, (xb[:, k], carrier))
+            v[:, k] = carrier
     x, y = u.ravel()[:n], v.ravel()[:n]
+    # with alpha or beta = 0 the values themselves can grow past the range
+    if not (min(x.min(), y.min()) > 0.0 and max(x.max(), y.max()) < np.inf):
+        raise _out_of_range(t)
     if config.check_conservation:  # a drifted carrier also breaks conservation
         if not np.all(np.abs(entry[1:] - v[:-1, -1]) <= 1e-12 * v[:-1, -1]):
             raise ArithmeticError(f"scanned block carrier drifted in row {t}")
-        prod_in = x_prev * np.concatenate((entry[:1], y[:-1]))
-        if not np.all(np.abs(x * y - prod_in) <= 1e-12 * prod_in):
+        # x y = x_prev y_in as (x / y_in)(y / x_prev) = 1: the factors are the
+        # cell's ratio and its inverse, so no product can overflow
+        ratio = (x / np.concatenate((entry[:1], y[:-1]))) * (y / x_prev)
+        if not np.all(np.abs(ratio - 1.0) <= 1e-12):
             raise ArithmeticError(f"cell conservation violated in row {t}")
     return x, y
 

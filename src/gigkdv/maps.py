@@ -67,10 +67,18 @@ def f_dk(p: MapParams, xy):
         w = p.beta * x * y + 1.0
         u, v = y * w, x / w
     else:
-        xy_ = x * y
-        wa = p.alpha * xy_ + 1.0
-        wb = p.beta * xy_ + 1.0
-        u, v = y * wb / wa, x * wa / wb
+        with np.errstate(over="ignore", invalid="ignore"):
+            xy_ = x * y
+            wa = p.alpha * xy_ + 1.0
+            wb = p.beta * xy_ + 1.0
+            u, v = y * wb / wa, x * wa / wb
+        ok = np.isfinite(u) & np.isfinite(v)
+        if not np.all(ok):
+            # an intermediate overflowed; the ratio wb / wa lies between 1
+            # and beta / alpha, and in this form no term can overflow
+            t, q = np.minimum(xy_, 1.0), 1.0 / np.maximum(xy_, 1.0)
+            ratio = (p.beta * t + q) / (p.alpha * t + q)
+            u, v = np.where(ok, u, y * ratio), np.where(ok, v, x / ratio)
     if np.ndim(u) == 0:
         return float(u), float(v)
     return u, v

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -101,7 +102,71 @@ class TestTransport:
         assert resid <= 3.0 * norm.se
 
 
+def oracle_dcor_test(u, v, n_perm, rng):
+    """The O(m^2)-per-permutation test for 1-D samples: double-centered
+    distance matrices, the second re-indexed for every permutation."""
+    def centered(z):
+        d = np.abs(z[:, None] - z[None, :])
+        return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
+
+    ca, cb = centered(u), centered(v)
+    dvar = math.sqrt(max(float((ca * ca).mean()), 0.0)
+                     * max(float((cb * cb).mean()), 0.0))
+    if dvar <= 0.0:
+        return 0.0, 1.0
+
+    def dcor_of(cb_mat):
+        return math.sqrt(max(float((ca * cb_mat).mean()), 0.0) / math.sqrt(dvar))
+
+    obs = dcor_of(cb)
+    hits = 0
+    for _ in range(n_perm):
+        idx = rng.permutation(len(u))
+        hits += dcor_of(cb[np.ix_(idx, idx)]) >= obs - balance._TIE_RTOL * obs
+    return obs, (1.0 + hits) / (n_perm + 1.0)
+
+
+def dcor_sample(kind, m, seed):
+    rng = rng_stream(seed, m)
+    if kind == "ties":  # integer values, many ties in both samples
+        u = rng.integers(0, 5, m).astype(float)
+        v = rng.integers(0, 3, m) + (u > 2.0)
+    elif kind == "heavy":  # GIG draws spread over several decades
+        law = dist.GigParams(-0.5, 0.01, 5.0)
+        u = dist.draw(law, rng, m)
+        v = dist.draw(law, rng, m) * (1.0 + 0.05 * u)
+    else:
+        u = rng.normal(size=m)
+        v = u * u + rng.normal(size=m)
+    return u, np.asarray(v, dtype=float)
+
+
 class TestDistanceCorrelation:
+    @pytest.mark.parametrize("m", [2, 3, 63, 64, 65, 500, 1000])
+    @pytest.mark.parametrize("kind", ["ties", "heavy", "dependent"])
+    def test_matches_quadratic_oracle(self, kind, m):
+        n_perm = 99 if m < 1000 else 49
+        for seed in range(3 if m < 100 else 1):
+            u, v = dcor_sample(kind, m, seed)
+            stat, p = balance.distance_correlation_test(
+                u, v, n_perm=n_perm, rng=rng_stream(seed, 7))
+            want_stat, want_p = oracle_dcor_test(u, v, n_perm, rng_stream(seed, 7))
+            assert stat == pytest.approx(want_stat, rel=1e-10, abs=0.0)
+            assert p == want_p
+
+    def test_constant_sample(self):
+        z = np.linspace(0.1, 3.0, 40)
+        for u, v in ((np.full(40, 0.1), z), (z, np.full(40, 0.7))):
+            assert balance.distance_correlation_test(u, v, n_perm=9) == (0.0, 1.0)
+
+    def test_three_vectors_unchanged(self):
+        # d > 1 keeps the double-centered matrices; the value was computed
+        # by the matrix code for every dimension before the 1-D path existed
+        rng = rng_stream(5, 0)
+        u, v = rng.normal(size=(150, 3)), rng.normal(size=(150, 3))
+        assert balance.distance_correlation_test(u, v, n_perm=99, rng=rng) == \
+            (0.2256708286891229, 0.21)
+
     def test_detects_dependence(self):
         rng = rng_stream(1, 0)
         u = rng.normal(size=400)

@@ -156,6 +156,24 @@ class TestBalanceVerify:
         doc = json.loads(out.read_text())
         assert len(doc["report"]["reports"]) == 5
 
+    def test_batch_seed_flag_beats_config(self, tmp_path, monkeypatch):
+        # an entry without a seed of its own runs at the resolved seed,
+        # where --seed outranks the config file
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        batch = tmp_path / "batch.txt"
+        batch.write_text("variant=fdk alpha=1 beta=2 c1=1 c2=1 lambda=0.5 n=2000\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed=5\n")
+        stats = []
+        for extra in (["--config", str(cfg)], []):
+            out = tmp_path / "batch.json"
+            assert run(["balance", "verify", "--batch", str(batch), "--seed", "9",
+                        "--out", str(out)] + extra) in (0, 1)
+            doc = json.loads(out.read_text())
+            assert doc["seed"] == 9
+            stats.append(doc["report"]["reports"][0]["independence"])
+        assert stats[0] == stats[1]
+
 
 class TestLattice:
     def test_run_frames_csv(self, tmp_path):
@@ -202,6 +220,25 @@ def _replay_text(tmp_path):
     return LATTICE + ["--replay", str(path)]
 
 
+def _replay(tmp_path, x0, ycol, yref):
+    path = tmp_path / "replay.csv"
+    rows = [f"{kind},{i},{value!r}" for kind, values in
+            (("x0", x0), ("ycol", ycol), ("yref", yref))
+            for i, value in enumerate(values, start=1)]
+    path.write_text("kind,index,value\n" + "\n".join(rows) + "\n")
+    return ["lattice", "stationarity", "--n", str(len(x0)), "--t", str(len(ycol)),
+            "--probes", "2,4", "--replay", str(path)]
+
+
+def _replay_short_yref(tmp_path):
+    return _replay(tmp_path, [1.0] * 50, [1.0] * 4, [1.0] * 49)
+
+
+def _replay_huge_x0(tmp_path):
+    # ahead of the last block of the row scan, which squares x
+    return _replay(tmp_path, [1e200] + [1.0] * 199, [1.0] * 4, [1.0] * 200)
+
+
 def _batch_seed(tmp_path):
     path = tmp_path / "batch.txt"
     path.write_text("variant=fdk n=100 seed=-3\n")
@@ -218,9 +255,11 @@ class TestBadInput:
         (LATTICE + ["--probes", "5,x"], None),
         (_replay_text, None),
         (_batch_seed, None),
+        (_replay_short_yref, None),
+        (_replay_huge_x0, None),
     ], ids=["flag-seed-negative", "flag-seed-too-big", "env-seed-too-big",
             "env-seed-text", "config-seed-text", "probes-text", "replay-text",
-            "batch-seed-negative"])
+            "batch-seed-negative", "replay-short-yref", "replay-huge-x0"])
     def test_exits_2_with_one_line(self, argv, env, tmp_path, capsys,
                                    monkeypatch):
         if env is None:

@@ -133,6 +133,23 @@ class TestEvolve:
         with pytest.raises(DomainError):
             list(lattice.evolve(other))
 
+    def test_values_near_the_float_limit(self, tmp_path):
+        # f_dk and the conservation check stay finite near 1e300; the row
+        # scan squares x, so a huge x ahead of the last block exits cleanly
+        def replayed(n, huge_x):
+            cfg = small_config(n=n, t=4)
+            x0, ycol, yref = lattice._boundary_arrays(cfg)
+            x0[huge_x] = ycol[:2] = 1e300
+            path = tmp_path / f"boundary{n}.csv"
+            lattice.save_boundary(path, x0, ycol, yref)
+            return lattice.LatticeConfig(n, 4, P12, cfg.x_marginal, cfg.y_marginal,
+                                         boundary=lattice.Replay(str(path)))
+
+        assert_matches_oracle(replayed(60, [0, 1, 30]))  # one block, no scan
+        for first_or_last_of_a_block in ([0], [63]):
+            with pytest.raises(DomainError, match="floating-point range"):
+                list(lattice.evolve(replayed(200, first_or_last_of_a_block)))
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             lattice.LatticeConfig(0, 5, P12, dist.GigParams(0.5, 1, 1),

@@ -38,6 +38,21 @@ class TestFdk:
         u, v = maps.f_dk(p, (x, y))
         assert u * v == pytest.approx(x * y, rel=5e-15)
 
+    @pytest.mark.parametrize("x,y", [(1e200, 1.0), (1e160, 1e160),
+                                     (1.0, 1e200), (1e300, 1e10)])
+    def test_finite_where_intermediates_overflow(self, x, y):
+        p = maps.MapParams(1.0, 2.0)
+        u, v = maps.f_dk(p, (x, y))
+        assert math.isfinite(u) and math.isfinite(v)
+        x2, y2 = maps.f_dk(p, (u, v))
+        assert x2 == pytest.approx(x, rel=1e-12)
+        assert y2 == pytest.approx(y, rel=1e-12)
+        # a cell without overflow in the same call keeps the plain formula
+        ua, va = maps.f_dk(p, (np.array([x, 0.3]), np.array([y, 2.0])))
+        assert (ua[0], va[0]) == (u, v)
+        wa, wb = 1.0 * 0.6 + 1.0, 2.0 * 0.6 + 1.0
+        assert (ua[1], va[1]) == (2.0 * wb / wa, 0.3 * wa / wb)
+
     def test_positive_domain_enforced(self):
         with pytest.raises(DomainError):
             maps.f_dk(maps.MapParams(1.0, 2.0), (0.0, 1.0))
