@@ -230,8 +230,10 @@ def _dcor_matrices(u: np.ndarray, v: np.ndarray):
     if dvar <= 0.0:
         return None
 
+    m = len(ca)
+
     def dcor_of(idx):
-        dcov2 = max(float((ca * cb[np.ix_(idx, idx)]).mean()), 0.0)
+        dcov2 = max(float((ca * cb.take(idx[:, None] * m + idx)).mean()), 0.0)
         return math.sqrt(dcov2 / math.sqrt(dvar))
 
     return lambda rows: np.array([dcor_of(idx) for idx in rows])
@@ -493,7 +495,7 @@ def _matrix_balance(spec, seed, n, dcor_m, n_perm, mcmc, p_threshold):
     us, vs = matrix.f_dk_matrix(spec.map, (runs["X"].draws, runs["Y"].draws))
 
     def functionals(draws):
-        return {"logdet": np.log(np.linalg.det(draws)),
+        return {"logdet": matrix._logdet_spd(draws),
                 "trace": np.trace(draws, axis1=-2, axis2=-1)}
 
     # residual MCMC autocorrelation makes nominal KS p-values

@@ -97,7 +97,16 @@ def psi(p: MapParams, ab):
         w = p.beta * a + b
         s, t = w / (b * b), w / (a * b)
     else:
-        w = (p.beta * a + b) / (p.alpha * a + b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            num, den = p.beta * a + b, p.alpha * a + b
+            w = num / den
+        ok = np.isfinite(num) & np.isfinite(den)
+        if not np.all(ok):
+            # beta a + b or alpha a + b overflowed; scaled by max(a, b) both
+            # lie in (0, 1 + max(alpha, beta)], and their ratio is the same
+            top = np.maximum(a, b)
+            w = np.where(ok, w, (p.beta * (a / top) + b / top)
+                         / (p.alpha * (a / top) + b / top))
         s, t = w / b, w / a
     if np.ndim(s) == 0:
         return float(s), float(t)

@@ -12,9 +12,10 @@ has density proportional to
     det(x)^(p - (r+1)/2) exp(-(tr(a x) + tr(b x^-1)) / 2)
 
 on the SPD cone.  Its normalizer has no closed form for r >= 2 and is
-estimated by importance sampling against a mode-matched Wishart proposal
-(exact Bessel form at r = 1); sampling is Metropolis-Hastings on the
-Cholesky factor with burn-in-only scale adaptation.
+estimated by importance sampling against a mode-matched Wishart proposal,
+drawn in one vectorized pass by the Bartlett decomposition (exact Bessel
+form at r = 1); sampling is Metropolis-Hastings on the Cholesky factor
+with burn-in-only scale adaptation.
 
 Symmetric matrices are flattened isometrically (off-diagonal entries
 weighted by sqrt(2)) so that finite-difference Jacobian determinants agree
@@ -282,6 +283,21 @@ def _wishart_log_pdf(df: float, v: np.ndarray, x: np.ndarray) -> np.ndarray:
             - multigammaln(0.5 * df, r))
 
 
+def _wishart_draws(df: float, v: np.ndarray, n: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    # Bartlett (1933): x = C A A^T C^T with C = chol(v), A lower triangular,
+    # A_ij ~ N(0, 1) below the diagonal and A_ii = sqrt(chi2(df - i)); the
+    # generator is consumed in the order scipy.stats.wishart.rvs uses
+    r = v.shape[0]
+    il = np.tril_indices(r, k=-1)
+    a = np.zeros((n, r, r))
+    a[:, il[0], il[1]] = rng.normal(size=n * len(il[0])).reshape(n, -1)
+    for i in range(r):
+        a[:, i, i] = rng.chisquare(df - i, size=n) ** 0.5
+    a = np.linalg.cholesky(v) @ a
+    return a @ np.swapaxes(a, -1, -2)
+
+
 def mgig_log_norm(params: MgigParams, seed: int = 0, n: int = 200_000):
     """(log normalizer, standard error of the log).
 
@@ -295,11 +311,8 @@ def mgig_log_norm(params: MgigParams, seed: int = 0, n: int = 200_000):
         ln = (math.log(2.0) + 0.5 * params.p * (math.log(b) - math.log(a))
               + specfun.bessel_k_log(params.p, math.sqrt(a * b)))
         return ln, 0.0
-    from scipy.stats import wishart
-
     df, v = _wishart_proposal(params)
-    rng = rng_stream(seed, 90_001)
-    draws = wishart.rvs(df=df, scale=v, size=n, random_state=rng)
+    draws = _wishart_draws(df, v, n, rng_stream(seed, 90_001))
     lw = mgig_log_pdf_unnorm(params, draws) - _wishart_log_pdf(df, v, draws)
     m = np.max(lw)
     w = np.exp(lw - m)
@@ -335,6 +348,18 @@ class McmcConfig:
     target_accept: float = 0.3
     adapt_every: int = 50
 
+    def __post_init__(self):
+        for name, low in (("chains", 1), ("burn_in", 0), ("thin", 1),
+                          ("adapt_every", 1)):
+            if not getattr(self, name) >= low:
+                raise DomainError(f"MCMC {name} must be >= {low}, "
+                                  f"got {getattr(self, name)}")
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise DomainError(f"MCMC step must be finite and > 0, got {self.step}")
+        if not 0.0 < self.target_accept < 1.0:
+            raise DomainError("MCMC target_accept must lie in (0, 1), "
+                              f"got {self.target_accept}")
+
 
 @dataclass
 class MgigSample:
@@ -357,29 +382,6 @@ class MgigSample:
             "seed": self.seed,
             "ok": self.ok,
         }
-
-
-def _theta_to_chol(theta: np.ndarray, r: int) -> np.ndarray:
-    il = np.tril_indices(r, k=-1)
-    chol = np.zeros(theta.shape[:-1] + (r, r))
-    chol[..., np.arange(r), np.arange(r)] = np.exp(theta[..., :r])
-    chol[..., il[0], il[1]] = theta[..., r:]
-    return chol
-
-
-def _mcmc_log_target(params: MgigParams, theta: np.ndarray) -> np.ndarray:
-    # density of x = L L^T pulled back to (log diag L, strict lower L);
-    # the Cholesky volume factor contributes sum_i (r + 2 - i) log L_ii
-    r = params.r
-    chol = _theta_to_chol(theta, r)
-    x = chol @ np.swapaxes(chol, -1, -2)
-    weights = np.arange(r + 1, 1, -1, dtype=float)  # r+1-i+1 for i = 1..r
-    jac = np.sum(weights * theta[..., :r], axis=-1)
-    ld = 2.0 * np.sum(theta[..., :r], axis=-1)
-    xinv = np.linalg.inv(x)
-    tr_ax = np.einsum("ij,kji->k", params.a, x)
-    tr_bxi = np.einsum("ij,kji->k", params.b, xinv)
-    return (params.p - 0.5 * (r + 1)) * ld - 0.5 * (tr_ax + tr_bxi) + jac
 
 
 def _split_rhat(series: np.ndarray) -> float:
@@ -428,47 +430,64 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
     if n < 1:
         raise DomainError("need n >= 1")
     cfg = mcmc or McmcConfig()
-    r = params.r
+    r, chains = params.r, cfg.chains
     d = r * (r + 1) // 2
     rng = rng_stream(seed, 77_001)
 
-    chol0 = np.linalg.cholesky(mgig_mode(params))
+    # theta = (log diag L, strict lower L); every evaluation refills the
+    # row-major cells of one L per chain in place and reads L^T as a view
     il = np.tril_indices(r, k=-1)
+    lower_cells = il[0] * r + il[1]
+    chol = np.zeros((chains, r * r))
+    chol_t = np.swapaxes(chol.reshape(chains, r, r), -1, -2)
+    weights = np.arange(r + 1, 1, -1, dtype=float)  # r+1-i+1 for i = 1..r
+    ld_coef = params.p - 0.5 * (r + 1)
+
+    def log_target(theta):
+        # the density of x = L L^T pulled back to theta, and x; the
+        # Cholesky volume factor contributes sum_i (r + 2 - i) log L_ii
+        np.exp(theta[:, :r], out=chol[:, ::r + 1])
+        chol[:, lower_cells] = theta[:, r:]
+        x = chol.reshape(chains, r, r) @ chol_t
+        jac = (weights * theta[:, :r]).sum(axis=-1)
+        ld = 2.0 * theta[:, :r].sum(axis=-1)
+        xinv = np.linalg.inv(x)
+        tr_ax = np.einsum("ij,kji->k", params.a, x)
+        tr_bxi = np.einsum("ij,kji->k", params.b, xinv)
+        return ld_coef * ld - 0.5 * (tr_ax + tr_bxi) + jac, x
+
+    chol0 = np.linalg.cholesky(mgig_mode(params))
     theta0 = np.concatenate([np.log(np.diag(chol0)), chol0[il]])
-    theta = theta0[None, :] + 0.05 * rng.standard_normal((cfg.chains, d))
+    theta = theta0[None, :] + 0.05 * rng.standard_normal((chains, d))
 
     step = cfg.step
-    lt = _mcmc_log_target(params, theta)
+    lt, x = log_target(theta)
     accepted = 0
-    proposed = 0
     acc_window = []
 
-    per_chain = -(-n // cfg.chains)
-    kept = np.empty((cfg.chains, per_chain, r, r))
-    n_steps = cfg.burn_in + per_chain * cfg.thin
-    k_idx = 0
-    for it in range(n_steps):
-        prop = theta + step * rng.standard_normal((cfg.chains, d))
-        lt_prop = _mcmc_log_target(params, prop)
-        accept = np.log(rng.random(cfg.chains)) < lt_prop - lt
-        theta[accept] = prop[accept]
-        lt[accept] = lt_prop[accept]
+    per_chain = -(-n // chains)
+    kept = np.empty((chains, per_chain, r, r))
+    for it in range(cfg.burn_in + per_chain * cfg.thin):
+        prop = theta + step * rng.standard_normal((chains, d))
+        lt_prop, x_prop = log_target(prop)
+        accept = np.log(rng.random(chains)) < lt_prop - lt
+        np.copyto(theta, prop, where=accept[:, None])
+        np.copyto(lt, lt_prop, where=accept)
+        np.copyto(x, x_prop, where=accept[:, None, None])
         if it < cfg.burn_in:
-            acc_window.append(accept.mean())
+            acc_window.append(np.count_nonzero(accept) / chains)
             if (it + 1) % cfg.adapt_every == 0:
                 rate = float(np.mean(acc_window))
                 step *= math.exp(0.5 * (rate - cfg.target_accept))
                 acc_window = []
         else:
             accepted += int(np.count_nonzero(accept))
-            proposed += cfg.chains
-            if (it - cfg.burn_in + 1) % cfg.thin == 0:
-                chol = _theta_to_chol(theta, r)
-                kept[:, k_idx] = chol @ np.swapaxes(chol, -1, -2)
-                k_idx += 1
+            k, rest = divmod(it - cfg.burn_in + 1, cfg.thin)
+            if rest == 0:
+                kept[:, k - 1] = x
 
-    acc_rate = accepted / proposed
-    ld = _logdet_spd(kept.reshape(-1, r, r)).reshape(cfg.chains, per_chain)
+    acc_rate = accepted / (chains * per_chain * cfg.thin)
+    ld = _logdet_spd(kept.reshape(-1, r, r)).reshape(chains, per_chain)
     tr = np.trace(kept, axis1=-2, axis2=-1)
     rhat = {"logdet": _split_rhat(ld), "trace": _split_rhat(tr)}
     ess = {"logdet": _ess(ld), "trace": _ess(tr)}

@@ -126,6 +126,28 @@ def oracle_dcor_test(u, v, n_perm, rng):
     return obs, (1.0 + hits) / (n_perm + 1.0)
 
 
+def oracle_dcor_matrices_test(u, v, n_perm, rng):
+    """The d > 1 test as first written: Euclidean double-centered distance
+    matrices, the second re-indexed by np.ix_ for every permutation."""
+    def centered(z):
+        diff = z[:, None, :] - z[None, :, :]
+        d = np.sqrt(np.sum(diff * diff, axis=-1))
+        return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
+
+    ca, cb = centered(u), centered(v)
+    dvar = math.sqrt(max(float((ca * ca).mean()), 0.0)
+                     * max(float((cb * cb).mean()), 0.0))
+
+    def dcor_of(idx):
+        dcov2 = max(float((ca * cb[np.ix_(idx, idx)]).mean()), 0.0)
+        return math.sqrt(dcov2 / math.sqrt(dvar))
+
+    obs = dcor_of(np.arange(len(u)))
+    hits = sum(dcor_of(rng.permutation(len(u))) >= obs - balance._TIE_RTOL * obs
+               for _ in range(n_perm))
+    return obs, (1.0 + hits) / (n_perm + 1.0)
+
+
 def dcor_sample(kind, m, seed):
     rng = rng_stream(seed, m)
     if kind == "ties":  # integer values, many ties in both samples
@@ -158,6 +180,16 @@ class TestDistanceCorrelation:
         z = np.linspace(0.1, 3.0, 40)
         for u, v in ((np.full(40, 0.1), z), (z, np.full(40, 0.7))):
             assert balance.distance_correlation_test(u, v, n_perm=9) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 64, 500])
+    def test_vectors_match_ix_oracle(self, m):
+        for seed in range(3 if m < 100 else 1):
+            rng = rng_stream(seed, 100 + m)
+            u = rng.normal(size=(m, 3))
+            v = np.column_stack([u[:, 0] ** 2, rng.normal(size=(m, 2))])
+            got = balance.distance_correlation_test(u, v, n_perm=99,
+                                                    rng=rng_stream(seed, 8))
+            assert got == oracle_dcor_matrices_test(u, v, 99, rng_stream(seed, 8))
 
     def test_three_vectors_unchanged(self):
         # d > 1 keeps the double-centered matrices; the value was computed

@@ -239,6 +239,15 @@ def _replay_huge_x0(tmp_path):
     return _replay(tmp_path, [1e200] + [1.0] * 199, [1.0] * 4, [1.0] * 200)
 
 
+MATRIX_SAMPLE = ["matrix", "sample", "--r", "2", "--n", "10"]
+
+
+def _config_thin(tmp_path):
+    path = tmp_path / "mcmc.cfg"
+    path.write_text("thin=0\n")
+    return MATRIX_SAMPLE + ["--config", str(path)]
+
+
 def _batch_seed(tmp_path):
     path = tmp_path / "batch.txt"
     path.write_text("variant=fdk n=100 seed=-3\n")
@@ -257,9 +266,14 @@ class TestBadInput:
         (_batch_seed, None),
         (_replay_short_yref, None),
         (_replay_huge_x0, None),
+        (MATRIX_SAMPLE + ["--thin", "0"], None),
+        (MATRIX_SAMPLE + ["--thin", "-3"], None),
+        (MATRIX_SAMPLE + ["--burn-in", "-1"], None),
+        (_config_thin, None),
     ], ids=["flag-seed-negative", "flag-seed-too-big", "env-seed-too-big",
             "env-seed-text", "config-seed-text", "probes-text", "replay-text",
-            "batch-seed-negative", "replay-short-yref", "replay-huge-x0"])
+            "batch-seed-negative", "replay-short-yref", "replay-huge-x0",
+            "thin-zero", "thin-negative", "burn-in-negative", "config-thin-zero"])
     def test_exits_2_with_one_line(self, argv, env, tmp_path, capsys,
                                    monkeypatch):
         if env is None:

@@ -100,6 +100,28 @@ class TestPsi:
         assert abs(r2) <= 1e-12
         assert abs(r3) <= 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 2.0), (2.0, 1.0)],
+                             ids=["beta-above", "alpha-above"])
+    @pytest.mark.parametrize("a,b", [(1e308, 1.0), (1.7e308, 1.7e308),
+                                     (1e308, 1e300)])
+    def test_finite_where_intermediates_overflow(self, alpha, beta, a, b):
+        # beta a + b or alpha a + b overflows; the plain formula gave
+        # (inf, inf) for beta > alpha and (0, 0) for alpha > beta
+        p = maps.MapParams(alpha, beta)
+        s, t = maps.psi(p, (a, b))
+        w = (beta * (a / 1e300) + b / 1e300) / (alpha * (a / 1e300) + b / 1e300)
+        assert s == pytest.approx(w / b, rel=1e-15)
+        assert t == pytest.approx(w / a, rel=1e-15)
+        a2, b2 = maps.psi(p, (s, t))
+        assert a2 == pytest.approx(a, rel=1e-12)
+        assert b2 == pytest.approx(b, rel=1e-12)
+        # a cell without overflow in the same call keeps the plain formula
+        sa, ta = maps.psi(p, (np.array([a, 0.3]), np.array([b, 2.0])))
+        assert (sa[0], ta[0]) == (s, t)
+        w = (beta * 0.3 + 2.0) / (alpha * 0.3 + 2.0)
+        assert (sa[1], ta[1]) == (w / 2.0, w / 0.3)
+
     def test_symmetric_point(self):
         r1, _, _ = maps.psi_identities(maps.MapParams(1.0, 0.0), (1.0, 1.0))
         assert r1 == 0.0

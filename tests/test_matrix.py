@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -145,17 +146,29 @@ class TestMgigDensity:
 
 
 class TestNormalizer:
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_bartlett_draws_match_scipy(self, r):
+        # scipy.stats.wishart.rvs is the oracle: the same generator calls in
+        # the same order, so the draws and the generator state after them
+        # are bitwise equal
+        v = matrix.random_spd(r, rng_stream(3, r))
+        for df in (r - 0.4, r + 1.7, r + 6.25):
+            for n in (1, 9, 2000):
+                want_rng, got_rng = rng_stream(11, r), rng_stream(11, r)
+                want = stats.wishart.rvs(df=df, scale=v, size=n,
+                                         random_state=want_rng)
+                got = matrix._wishart_draws(df, v, n, got_rng)
+                assert got.shape == (n, r, r)
+                assert np.array_equal(got, want.reshape(n, r, r))
+                assert got_rng.random() == want_rng.random()
+
     def test_importance_sampling_matches_exact_r1(self):
         # run the generic IS machinery on an r = 1 law, where the
         # normalizer has the exact Bessel form
-        from scipy.stats import wishart
-
         law = matrix.MgigParams(0.8, np.array([[2.0]]), np.array([[1.3]]))
         exact, _ = matrix.mgig_log_norm(law)
         df, v = matrix._wishart_proposal(law)
-        rng = rng_stream(17, 90_001)
-        draws = wishart.rvs(df=df, scale=v, size=200_000, random_state=rng)
-        draws = draws.reshape(-1, 1, 1)
+        draws = matrix._wishart_draws(df, v, 200_000, rng_stream(17, 90_001))
         lw = (matrix.mgig_log_pdf_unnorm(law, draws)
               - matrix._wishart_log_pdf(df, v, draws))
         m = lw.max()
@@ -225,6 +238,39 @@ class TestMcmc:
         ld = np.log(np.linalg.det(run.draws))
         se = ld.std() / math.sqrt(min(run.ess["logdet"], len(ld)))
         assert abs(ld.mean() - want) <= 4.0 * se
+
+    @pytest.mark.parametrize("r,p,pair_seed,seed,digest,acc_rate,step", [
+        (2, 1.3, 13, 5,
+         "dd9ccc32491644f6512ad40be5f428a0ef05092592b94c1694ffe0a6fc2d27ea",
+         0.3819444444444444, 0.5305767100386997),
+        (3, 2.4, 4, 9,
+         "53339d382111cd28afdb693b484e684e615ca8f6eba23e40265181a0549e50f3",
+         0.27361111111111114, 0.41580422940774614),
+    ])
+    def test_pinned_run(self, r, p, pair_seed, seed, digest, acc_rate, step):
+        # draws, acceptance rate and adapted step of a small run, computed
+        # by the sampler that built the Cholesky factor anew at every step
+        law = matrix.MgigParams(p, *spd_pair(r, pair_seed))
+        cfg = matrix.McmcConfig(chains=8, burn_in=200, thin=3)
+        run = matrix.mgig_sample(law, seed, 240, mcmc=cfg)
+        assert run.draws.shape == (240, r, r)
+        assert hashlib.sha256(run.draws.tobytes()).hexdigest() == digest
+        assert run.acceptance_rate == acc_rate
+        assert run.step == step
+
+    @pytest.mark.parametrize("field,value", [
+        ("chains", 0), ("burn_in", -1), ("thin", 0), ("thin", -3),
+        ("adapt_every", 0), ("step", 0.0), ("step", -0.1),
+        ("step", math.inf), ("step", math.nan), ("target_accept", 0.0),
+        ("target_accept", 1.0), ("target_accept", math.nan)])
+    def test_config_validated(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            matrix.McmcConfig(**{field: value})
+
+    def test_config_limits_accepted(self):
+        cfg = matrix.McmcConfig(chains=1, burn_in=0, thin=1, adapt_every=1)
+        law = matrix.MgigParams(1.3, *spd_pair(2, 13))
+        assert matrix.mgig_sample(law, 1, 40, mcmc=cfg).draws.shape == (40, 2, 2)
 
     def test_deterministic(self):
         law = matrix.MgigParams(1.3, *spd_pair(2, 13))
