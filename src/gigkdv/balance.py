@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from . import dist, matrix
 from .errors import DomainError
@@ -443,6 +442,8 @@ def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
     `y_override` replaces the law of the second input (negative controls).
     The independence test runs on a seeded subsample of size `dcor_m`.
     """
+    from scipy import stats
+
     if n < 1000:
         raise DomainError("need n >= 1000")
     if spec.variant == "matrix":
@@ -486,6 +487,8 @@ def _ess_stride(series: np.ndarray) -> int:
 
 
 def _matrix_balance(spec, seed, n, dcor_m, n_perm, mcmc, p_threshold):
+    from scipy import stats
+
     law_x, law_y = input_laws(spec)
     law_u, law_v = output_laws(spec)
     runs = {}

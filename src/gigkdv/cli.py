@@ -60,6 +60,13 @@ def _resolve(args, config: dict, name: str, cast, default):
     return default
 
 
+def _resolve_r(args, config: dict) -> int:
+    r = _resolve(args, config, "r", int, 2)
+    if r < 1:
+        raise DomainError(f"r must be >= 1, got {r}")
+    return r
+
+
 def _seed_value(value, source: str) -> int:
     """`value` as a seed, i.e. an integer in [0, 2**64)."""
     try:
@@ -142,7 +149,10 @@ def _battery_exit(rows) -> int:
 
 
 def _parse_matrix(text: str, r: int, what: str) -> np.ndarray:
-    vals = [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
+    try:
+        vals = [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
+    except ValueError:
+        raise DomainError(f"{what} needs numbers, got {text!r}") from None
     if len(vals) != r * r:
         raise DomainError(f"{what} needs {r * r} row-major entries, got {len(vals)}")
     return np.asarray(vals).reshape(r, r)
@@ -217,7 +227,7 @@ def _cmd_map_check(args, config):
 
 def _cmd_matrix_check(args, config):
     seed = _resolve_seed(args, config)
-    r = _resolve(args, config, "r", int, 2)
+    r = _resolve_r(args, config)
     alpha = _resolve(args, config, "alpha", float, 1.0)
     beta = _resolve(args, config, "beta", float, 2.0)
     rows = matrix.prop51_battery(r, alpha, beta, seed)
@@ -229,7 +239,7 @@ def _cmd_matrix_check(args, config):
 
 def _cmd_matrix_sample(args, config):
     seed = _resolve_seed(args, config)
-    r = _resolve(args, config, "r", int, 2)
+    r = _resolve_r(args, config)
     p = _resolve(args, config, "p", float, 1.5)
     n = _resolve(args, config, "n", int, 1000)
     burn_in = _resolve(args, config, "burn_in", int, 3000)
@@ -257,7 +267,7 @@ def _balance_spec_from(args, config):
     c2 = _resolve(args, config, "c2", float, 1.0)
     variant = getattr(args, "variant", "psi") or "psi"
     if variant == "matrix":
-        r = _resolve(args, config, "r", int, 2)
+        r = _resolve_r(args, config)
         a = _parse_matrix(args.a, r, "--a") if getattr(args, "a", None) else np.eye(r)
         b = _parse_matrix(args.b, r, "--b") if getattr(args, "b", None) else np.eye(r)
         return balance.BalanceSpec(maps.MapParams(alpha, beta), lam=lam,
@@ -508,8 +518,10 @@ def dispatch(argv=None) -> int:
     try:
         config = load_config(args.config) if getattr(args, "config", None) else {}
         return args.fn(args, config)
+    except BrokenPipeError:
+        raise  # `main` ends quietly when the reader of stdout goes away
     except (DomainError, NotSpdError, IllConditionedError, ConfigError,
-            OverflowError, FileNotFoundError) as exc:
+            OverflowError, OSError, UnicodeDecodeError) as exc:
         print(f"gigkdv: error: {exc}", file=sys.stderr)
         return 2
 

@@ -199,10 +199,10 @@ def _panel_integrals(law, edges: np.ndarray, width: float) -> np.ndarray:
     lo, hi = edges[:-1], edges[1:]
     n_sub = np.maximum(1, np.ceil((hi - lo) / width).astype(int))
     owner = np.repeat(np.arange(len(lo)), n_sub)
-    starts = np.repeat(lo, n_sub)
     steps = np.repeat((hi - lo) / n_sub, n_sub)
-    offset = np.concatenate([np.arange(k) for k in n_sub]) if len(n_sub) else np.array([])
-    sub_lo = starts + offset * steps
+    # index of each subpanel within its panel
+    offset = np.arange(n_sub.sum()) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    sub_lo = lo[owner] + offset * steps
     half = 0.5 * steps
     nodes = sub_lo[:, None] + half[:, None] * (_GL_NODES[None, :] + 1.0)
     vals = np.exp(_log_weight(law, nodes.ravel())).reshape(nodes.shape)
@@ -216,8 +216,8 @@ def cdf(law: MarginalLaw, x) -> float | np.ndarray:
     """P(X <= x), absolute accuracy ~1e-12, monotone in x.
 
     Vectorized: an array of query points is sorted once and the density is
-    integrated panel-by-panel between consecutive points, so a full KS-test
-    evaluation costs a single pass.
+    integrated panel-by-panel between consecutive points, all subpanels in
+    whole-array operations, so a full KS-test evaluation costs one pass.
     """
     xv = np.asarray(x, dtype=float)
     scalar = xv.ndim == 0
@@ -336,8 +336,12 @@ def _sample_gig(law: GigParams, rng: np.random.Generator, n: int) -> np.ndarray:
     lam, a, b = law.lam, law.a, law.b
     lam_abs = abs(lam)
     omega = 2.0 * math.sqrt(a * b)
-    psi, (p, q, r, t, s, t_shift, s_shift, eta, zeta, vartheta, xi) = \
-        _gig_envelope(lam_abs, omega)
+    # where a b underflows or the envelope overflows to nan, the acceptance
+    # test below would fail forever
+    psi, consts = _gig_envelope(lam_abs, omega) if omega > 0.0 else (None, [math.nan])
+    if not all(map(math.isfinite, consts)):
+        raise DomainError(f"{law} lies outside the sampler's floating-point range")
+    p, q, r, t, s, t_shift, s_shift, eta, zeta, vartheta, xi = consts
 
     out = np.empty(n)
     filled = 0

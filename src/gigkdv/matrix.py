@@ -238,11 +238,15 @@ def mgig_log_pdf_unnorm(params: MgigParams, x) -> float | np.ndarray:
         ld = _logdet_spd(x)
     except np.linalg.LinAlgError:
         raise NotSpdError("x must be positive definite") from None
-    xinv = np.linalg.inv(x)
-    tr_ax = np.einsum("ij,kji->k", params.a, x)
-    tr_bxi = np.einsum("ij,kji->k", params.b, xinv)
-    out = (params.p - 0.5 * (r + 1)) * ld - 0.5 * (tr_ax + tr_bxi)
+    out = _log_kernel(params, x, ld)
     return float(out[0]) if single else out
+
+
+def _log_kernel(params: MgigParams, x: np.ndarray, ld: np.ndarray) -> np.ndarray:
+    # unnormalized log density of a batch x whose log det x is ld
+    tr_ax = np.einsum("ij,kji->k", params.a, x)
+    tr_bxi = np.einsum("ij,kji->k", params.b, np.linalg.inv(x))
+    return (params.p - 0.5 * (params.r + 1)) * ld - 0.5 * (tr_ax + tr_bxi)
 
 
 def mgig_mode(params: MgigParams) -> np.ndarray:
@@ -272,10 +276,11 @@ def _wishart_proposal(params: MgigParams):
     return df, check_spd(v, "proposal scale")
 
 
-def _wishart_log_pdf(df: float, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _wishart_log_pdf(df: float, v: np.ndarray, x: np.ndarray,
+                     ld_x: np.ndarray) -> np.ndarray:
+    # ld_x is log det x, which the caller shares with the target density
     r = v.shape[0]
     vinv = np.linalg.inv(v)
-    ld_x = _logdet_spd(x)
     return (0.5 * (df - r - 1.0) * ld_x
             - 0.5 * np.einsum("ij,kji->k", vinv, x)
             - 0.5 * df * r * math.log(2.0)
@@ -313,7 +318,8 @@ def mgig_log_norm(params: MgigParams, seed: int = 0, n: int = 200_000):
         return ln, 0.0
     df, v = _wishart_proposal(params)
     draws = _wishart_draws(df, v, n, rng_stream(seed, 90_001))
-    lw = mgig_log_pdf_unnorm(params, draws) - _wishart_log_pdf(df, v, draws)
+    ld = _logdet_spd(draws)
+    lw = _log_kernel(params, draws, ld) - _wishart_log_pdf(df, v, draws, ld)
     m = np.max(lw)
     w = np.exp(lw - m)
     mean_w = float(np.mean(w))
@@ -427,9 +433,11 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
     log det X and tr X below 1.05) are attached to the result; failures
     set `ok = False` rather than raising.
     """
-    if n < 1:
-        raise DomainError("need n >= 1")
     cfg = mcmc or McmcConfig()
+    if -(-n // cfg.chains) < 4:
+        # split R-hat needs at least two draws in each half of every chain
+        raise DomainError(f"need n >= {3 * cfg.chains + 1} for {cfg.chains} "
+                          "chains (4 draws per chain)")
     r, chains = params.r, cfg.chains
     d = r * (r + 1) // 2
     rng = rng_stream(seed, 77_001)

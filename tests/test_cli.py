@@ -1,15 +1,29 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gigkdv import cli
 
 
 def run(argv):
     return cli.dispatch(argv)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # commands without a KS test (map eval, dist sample, ...) skip the
+    # import of scipy.stats, the bulk of the start-up time
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, gigkdv.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout == "False\n"
 
 
 class TestMapEval:
@@ -254,6 +268,24 @@ def _batch_seed(tmp_path):
     return ["balance", "verify", "--batch", str(path)]
 
 
+def _out_dir(tmp_path):
+    return ["dist", "sample", "--n", "3", "--out", str(tmp_path)]
+
+
+def _binary(tmp_path, flag, argv):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00")
+    return argv + [flag, str(path)]
+
+
+def _config_binary(tmp_path):
+    return _binary(tmp_path, "--config", ["dist", "sample", "--n", "3"])
+
+
+def _replay_binary(tmp_path):
+    return _binary(tmp_path, "--replay", LATTICE)
+
+
 class TestBadInput:
     @pytest.mark.parametrize("argv,env", [
         (LATTICE + ["--seed", "-1"], None),
@@ -270,10 +302,21 @@ class TestBadInput:
         (MATRIX_SAMPLE + ["--thin", "-3"], None),
         (MATRIX_SAMPLE + ["--burn-in", "-1"], None),
         (_config_thin, None),
+        (MATRIX_SAMPLE, None),
+        (_out_dir, None),
+        (_config_binary, None),
+        (_replay_binary, None),
+        (MATRIX_SAMPLE + ["--n", "40", "--a", "1,abc,0,1"], None),
+        (["matrix", "check", "--r", "-1"], None),
+        (["dist", "sample", "--a", "1e308", "--n", "3"], None),
+        (["dist", "sample", "--a", "1e-200", "--b", "1e-200", "--n", "3"], None),
     ], ids=["flag-seed-negative", "flag-seed-too-big", "env-seed-too-big",
             "env-seed-text", "config-seed-text", "probes-text", "replay-text",
             "batch-seed-negative", "replay-short-yref", "replay-huge-x0",
-            "thin-zero", "thin-negative", "burn-in-negative", "config-thin-zero"])
+            "thin-zero", "thin-negative", "burn-in-negative", "config-thin-zero",
+            "matrix-sample-2-per-chain", "out-directory", "config-binary",
+            "replay-binary", "matrix-text", "matrix-r-negative", "gig-rate-huge",
+            "gig-rates-tiny"])
     def test_exits_2_with_one_line(self, argv, env, tmp_path, capsys,
                                    monkeypatch):
         if env is None:
@@ -299,3 +342,120 @@ class TestBadInput:
         proc.stderr.close()
         assert proc.wait(timeout=120) == 141
         assert err == b""
+
+
+# ---------------------------------------------------------------------------
+# bounded fuzz of dispatch: real subcommands, tiny sizes, valid and garbage
+# values mixed; every run must end with status 0, 1 or 2 and no traceback
+# ---------------------------------------------------------------------------
+
+GARBAGE = st.sampled_from(["-1", "0", "nan", "inf", "-inf", "abc", "", "1e308", "2.5"])
+# seeds that are rejected before any work: a valid seed would run the full
+# 5 s `dist check` battery, which has no size knob
+BAD_SEED = st.sampled_from(["-1", "abc", "", "nan", str(2**64)])
+SEED = st.one_of(st.integers(0, 3).map(str), BAD_SEED)
+FLOAT = st.one_of(st.sampled_from(["0.5", "1", "2", "3", "-0.5", "-2"]), GARBAGE)
+SIZE = st.one_of(st.integers(1, 6).map(str), GARBAGE)
+MATRIX_TEXT = st.sampled_from(["1,0,0,1", "2,0.5,0.5,1", "1", "1,2,3,4",
+                               "nan,0,0,1", "abc", "", "1;0;0;1"])
+# balance verify needs n >= 1000; the matrix variant gets only n below that,
+# since one matrix verdict at n = 1000 takes seconds
+MATRIX_N = st.one_of(st.integers(1, 999).map(str), GARBAGE)
+FDK_N = st.one_of(st.just("1000"), MATRIX_N)
+
+# file-valued flags draw "@name" tokens, which name files of FUZZ_FILES
+# (bytes) or "@dir" and "@missing"
+FUZZ_FILES = {
+    "binary": b"\xff\xfe\x00\x01",
+    "empty": b"",
+    "cfg_ok": b"alpha=2\nbeta=1\nn=3\n",
+    "cfg_bad": b"oops\n",
+    "cfg_seed": b"seed=abc\nthin=0\n",
+    "replay_short": b"kind,index,value\nx0,1,1.5\n",
+    "batch_bad": b"variant=fdk n=abc\n",
+    "batch_ok": b"variant=psi alpha=1 beta=0 c1=1 c2=2 lambda=0.8 n=1000 seed=6\n",
+}
+ANY_FILE = ["@binary", "@empty", "@dir", "@missing"]
+COMMON_FLAGS = {
+    "--seed": SEED,
+    "--config": st.sampled_from(["@cfg_ok", "@cfg_bad", "@cfg_seed"] + ANY_FILE),
+    "--out": st.sampled_from(["-", "@dir", "@missing", "@out"]),
+}
+BATCH = st.sampled_from(["@batch_bad", "@batch_ok"] + ANY_FILE)
+
+MAP_FLAGS = {"--alpha": FLOAT, "--beta": FLOAT}
+BALANCE_FLAGS = {**MAP_FLAGS, "--c1": FLOAT, "--c2": FLOAT, "--lambda": FLOAT}
+LATTICE_FLAGS = {"--n": SIZE, "--t": SIZE, **BALANCE_FLAGS, "--c": FLOAT,
+                 "--c2": FLOAT, "--replay": st.sampled_from(["@replay_short"] + ANY_FILE)}
+# each base argv sets the sizes a command would otherwise take from its
+# defaults (up to n = 200,000); drawn flags come later and override them
+COMMANDS = [
+    (["specfun", "check"], {}),
+    (["dist", "sample"], {"--law": st.sampled_from(["gig", "gamma", "invgamma", "x"]),
+                          "--lambda": FLOAT, "--a": FLOAT, "--b": FLOAT,
+                          "--n": SIZE}),
+    (["dist", "check", "--seed", "abc"], {"--seed": BAD_SEED}),
+    (["map", "eval", "--alpha", "1", "--beta", "2", "--x", "1", "--y", "1"],
+     {**MAP_FLAGS, "--x": FLOAT, "--y": FLOAT, "--psi": st.just(None)}),
+    (["map", "check"], {}),
+    (["matrix", "check"], {"--r": st.one_of(st.sampled_from(["1", "2", "3"]), GARBAGE),
+                           **MAP_FLAGS}),
+    (["matrix", "sample", "--n", "32", "--burn-in", "20", "--thin", "1"],
+     {"--r": st.one_of(st.sampled_from(["1", "2"]), GARBAGE), "--p": FLOAT,
+      "--a": MATRIX_TEXT, "--b": MATRIX_TEXT,
+      "--n": st.one_of(st.integers(1, 40).map(str), GARBAGE),
+      "--burn-in": SIZE, "--thin": SIZE}),
+    (["balance", "verify", "--n", "1000"],
+     {"--variant": st.sampled_from(["fdk", "psi", "x"]), **BALANCE_FLAGS, "--n": FDK_N,
+      "--batch": BATCH}),
+    (["balance", "verify", "--variant", "matrix", "--n", "999"],
+     {**BALANCE_FLAGS, "--r": SIZE, "--a": MATRIX_TEXT, "--b": MATRIX_TEXT,
+      "--n": MATRIX_N, "--batch": BATCH}),
+    (["balance", "machinery", "--n", "1000"],
+     {**BALANCE_FLAGS, "--s": FLOAT, "--sigma": FLOAT, "--theta": FLOAT, "--n": SIZE}),
+    (["lattice", "run", "--n", "5", "--t", "3"], LATTICE_FLAGS),
+    (["lattice", "stationarity", "--n", "50", "--t", "4", "--probes", "2,4"],
+     {**LATTICE_FLAGS, "--probes": st.sampled_from(["1,2", "2", "", "x", "-1", "0,99"])}),
+]
+
+
+@st.composite
+def fuzz_argv(draw, files):
+    base, flags = draw(st.sampled_from(COMMANDS))
+    flags = {**COMMON_FLAGS, **flags}
+    argv = list(base)
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        value = draw(flags[flag])
+        if value is not None and value.startswith("@"):
+            value = files[value[1:]]
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"dir": str(root), "missing": str(root / "no" / "f"),
+             "out": str(root / "out.txt")}
+    for name, data in FUZZ_FILES.items():
+        (root / name).write_bytes(data)
+        files[name] = str(root / name)
+    return files
+
+
+def test_dispatch_fuzz(fuzz_files):
+    @settings(max_examples=300, derandomize=True)
+    @given(argv=fuzz_argv(fuzz_files))
+    def check(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                status = cli.dispatch(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                status = exc.code
+        assert status in (0, 1, 2), (argv, status)
+        assert "Traceback" not in err.getvalue(), argv
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv(cli.SEED_ENV, raising=False)
+        check()

@@ -107,6 +107,48 @@ class TestCdf:
         assert np.max(d) <= 1e-3
 
 
+def oracle_panel_integrals(law, edges, width):
+    """The per-panel list comprehension that `dist._panel_integrals`
+    replaced: one `np.arange` call per panel for the subpanel offsets."""
+    lo, hi = edges[:-1], edges[1:]
+    n_sub = np.maximum(1, np.ceil((hi - lo) / width).astype(int))
+    owner = np.repeat(np.arange(len(lo)), n_sub)
+    starts = np.repeat(lo, n_sub)
+    steps = np.repeat((hi - lo) / n_sub, n_sub)
+    offset = np.concatenate([np.arange(k) for k in n_sub]) if len(n_sub) else np.array([])
+    sub_lo = starts + offset * steps
+    half = 0.5 * steps
+    nodes = sub_lo[:, None] + half[:, None] * (dist._GL_NODES[None, :] + 1.0)
+    vals = np.exp(dist._log_weight(law, nodes.ravel())).reshape(nodes.shape)
+    sub = (vals * dist._GL_WEIGHTS[None, :]).sum(axis=1) * half
+    out = np.zeros(len(lo))
+    np.add.at(out, owner, sub)
+    return out
+
+
+WEAK_GRID = np.geomspace(0.05, 20.0, 40)
+
+
+@pytest.mark.parametrize("law,xs", [
+    (dist.GigParams(0.7, 3.0, 7.0),
+     dist.sample(dist.GigParams(0.7, 3.0, 7.0), 20260809, 100_000, stream=4)),
+    (dist.GigParams(1.2, 0.8, 1e-8), WEAK_GRID),
+    (dist.GigParams(-1.2, 1e-8, 0.8), WEAK_GRID),
+    (dist.GammaParams(1.2, 0.8), WEAK_GRID),
+    (dist.InvGammaParams(1.2, 0.8), WEAK_GRID),
+    (dist.GammaParams(0.4, 0.9), np.geomspace(1e-6, 1e3, 25)),
+    (dist.GigParams(-2.3, 0.4, 3.0), np.array([1.7])),
+], ids=["gig-1e5-draws", "weak-gamma-grid", "weak-invgamma-grid",
+        "gamma-grid", "invgamma-grid", "gamma-wide-grid", "single-point"])
+def test_panel_integrals_match_oracle(law, xs):
+    # the same edges as `cdf` builds: window start, then the sorted,
+    # clipped log query points
+    t_lo, t_hi, width = dist._window(law)
+    edges = np.concatenate([[t_lo], np.clip(np.sort(np.log(xs)), t_lo, t_hi)])
+    assert np.array_equal(dist._panel_integrals(law, edges, width),
+                          oracle_panel_integrals(law, edges, width))
+
+
 class TestExtLaplace:
     def test_unit_at_zero(self):
         assert dist.ext_laplace(dist.GigParams(0.3, 2.0, 1.0), 0.0, 0.0, 0.0) == 1.0
@@ -208,6 +250,15 @@ class TestSampling:
         law = dist.GammaParams(1.7, 2.2)
         xs = dist.sample(law, 99, 1_000_000)
         assert abs(xs.mean() - 1.7 / 2.2) <= 4.0 * xs.std() / 1000.0
+
+    @pytest.mark.parametrize("law", [
+        dist.GigParams(0.5, 1e308, 1.0),   # omega^2 overflows: nan envelope
+        dist.GigParams(-2.0, 1.0, 1e308),
+        dist.GigParams(0.5, 1e-200, 1e-200),  # omega underflows to 0
+    ], ids=str)
+    def test_out_of_range_rejected(self, law):
+        with pytest.raises(DomainError, match="floating-point range"):
+            dist.sample(law, 0, 5)
 
     def test_fixed_point_symmetric(self):
         law = dist.GigParams(0.0, 2.0, 2.0)

@@ -170,7 +170,7 @@ class TestNormalizer:
         df, v = matrix._wishart_proposal(law)
         draws = matrix._wishart_draws(df, v, 200_000, rng_stream(17, 90_001))
         lw = (matrix.mgig_log_pdf_unnorm(law, draws)
-              - matrix._wishart_log_pdf(df, v, draws))
+              - matrix._wishart_log_pdf(df, v, draws, matrix._logdet_spd(draws)))
         m = lw.max()
         w = np.exp(lw - m)
         est = m + math.log(w.mean())
