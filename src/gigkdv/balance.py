@@ -27,7 +27,7 @@ cancel).
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -148,8 +148,9 @@ def matrix_normalizers(spec: BalanceSpec, seed: int = 0,
 
 
 def transport_residual(spec: BalanceSpec, point,
-                       normalizers: MatrixNormalizers | None = None) -> float:
-    """|log f_X(x) + log f_Y(y) - log f_U(u) - log f_V(v)| at one point.
+                       normalizers: MatrixNormalizers | None = None):
+    """|log f_X(x) + log f_Y(y) - log f_U(u) - log f_V(v)| at one point, or
+    at every point of arrays x and y for the scalar variants.
 
     All densities are fully normalized.  The psi variant is evaluated
     through its conjugation (x, y) = (a, 1/b), under which its laws map
@@ -178,20 +179,15 @@ def transport_residual(spec: BalanceSpec, point,
 
 
 def transport_grid_max(spec: BalanceSpec, grid_n: int = 20,
-                       lo: float = 0.05, hi: float = 20.0,
                        normalizers: MatrixNormalizers | None = None,
                        seed: int = 0) -> float:
-    """Max transport residual over a grid (scalar: log grid on [lo, hi]^2;
-    matrix: seeded random SPD pairs)."""
+    """Max transport residual over a grid (scalar: log grid on [0.05, 20]^2,
+    where both variants share the fdk laws; matrix: seeded random SPD
+    pairs)."""
     if spec.variant in ("fdk", "psi"):
-        pts = np.geomspace(lo, hi, grid_n)
-        law_x, law_y = input_laws(replace(spec, variant="fdk"))
-        law_u, law_v = output_laws(replace(spec, variant="fdk"))
+        pts = np.geomspace(0.05, 20.0, grid_n)
         xg, yg = np.meshgrid(pts, pts)
-        u, v = f_dk(spec.map, (xg, yg))
-        res = (dist.log_pdf(law_x, xg) + dist.log_pdf(law_y, yg)
-               - dist.log_pdf(law_u, u) - dist.log_pdf(law_v, v))
-        return float(np.max(np.abs(res)))
+        return float(np.max(transport_residual(replace(spec, variant="fdk"), (xg, yg))))
     rng = rng_stream(seed, 51_000)
     norm = normalizers if normalizers is not None else matrix_normalizers(spec, seed)
     worst = 0.0
@@ -406,19 +402,7 @@ class BalanceReport:
     passed: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "params": self.params,
-            "seed": self.seed,
-            "n": self.n,
-            "max_log_residual": self.max_log_residual,
-            "residual_tol": self.residual_tol,
-            "ks_stats": {k: vars(v) for k, v in self.ks_stats.items()},
-            "independence": vars(self.independence),
-            "pass_flags": dict(self.pass_flags),
-            "mcmc": self.mcmc,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def spec_params(spec: BalanceSpec) -> dict:
@@ -431,23 +415,27 @@ def spec_params(spec: BalanceSpec) -> dict:
     return out
 
 
+# every p-value of a verdict is gated at _P_THRESHOLD; the independence test
+# runs _N_PERM permutations on a seeded subsample of _DCOR_M mapped pairs
+_P_THRESHOLD = 0.01
+_DCOR_M = 1000
+_N_PERM = 499
+
+
 def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
                         y_override: "dist.MarginalLaw | None" = None,
-                        dcor_m: int = 1000, n_perm: int = 499,
-                        mcmc: "matrix.McmcConfig | None" = None,
-                        p_threshold: float = 0.01) -> BalanceReport:
+                        mcmc: "matrix.McmcConfig | None" = None) -> BalanceReport:
     """Sample, map, test: KS per mapped marginal, distance correlation for
     the mapped pair, plus the deterministic transport residual.
 
     `y_override` replaces the law of the second input (negative controls).
-    The independence test runs on a seeded subsample of size `dcor_m`.
     """
     from scipy import stats
 
     if n < 1000:
         raise DomainError("need n >= 1000")
     if spec.variant == "matrix":
-        return _matrix_balance(spec, seed, n, dcor_m, n_perm, mcmc, p_threshold)
+        return _matrix_balance(spec, seed, n, mcmc)
 
     law_x, law_y = input_laws(spec)
     if y_override is not None:
@@ -464,14 +452,14 @@ def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
         res = stats.kstest(data, lambda q: dist.cdf(law, q))
         ks[name] = KsStat(float(res.statistic), float(res.pvalue), n)
 
-    sub = rng_stream(seed, 3).choice(n, size=min(dcor_m, n), replace=False)
-    stat, p = distance_correlation_test(us[sub], vs[sub], n_perm=n_perm,
+    sub = rng_stream(seed, 3).choice(n, size=min(_DCOR_M, n), replace=False)
+    stat, p = distance_correlation_test(us[sub], vs[sub], n_perm=_N_PERM,
                                         rng=rng_stream(seed, 4))
-    ind = IndependenceStat(float(stat), float(p), len(sub), n_perm)
+    ind = IndependenceStat(float(stat), float(p), len(sub), _N_PERM)
 
     resid = transport_grid_max(spec)
-    flags = {f"ks_{name}": ks[name].p_value > p_threshold for name in ks}
-    flags["independence"] = ind.p_value > p_threshold
+    flags = {f"ks_{name}": ks[name].p_value > _P_THRESHOLD for name in ks}
+    flags["independence"] = ind.p_value > _P_THRESHOLD
     flags["transport"] = resid <= 1e-9
     report = BalanceReport(
         variant=spec.variant, params=spec_params(spec), seed=seed, n=n,
@@ -486,7 +474,7 @@ def _ess_stride(series: np.ndarray) -> int:
     return max(1, int(math.ceil(len(series) / max(ess, 1.0))))
 
 
-def _matrix_balance(spec, seed, n, dcor_m, n_perm, mcmc, p_threshold):
+def _matrix_balance(spec, seed, n, mcmc):
     from scipy import stats
 
     law_x, law_y = input_laws(spec)
@@ -509,28 +497,29 @@ def _matrix_balance(spec, seed, n, dcor_m, n_perm, mcmc, p_threshold):
                              ("V", vs, runs["V_ref"].draws)):
         fm, fr = functionals(mapped), functionals(ref)
         for fname in fm:
-            sm = fm[fname][::_ess_stride(fm[fname])]
+            stride = _ess_stride(fm[fname])
+            sm = fm[fname][::stride]
             sr = fr[fname][::_ess_stride(fr[fname])]
-            max_stride = max(max_stride, _ess_stride(fm[fname]))
+            max_stride = max(max_stride, stride)
             res = stats.ks_2samp(sm, sr)
             ks[f"{key}_{fname}"] = KsStat(float(res.statistic),
                                           float(res.pvalue), len(sm))
 
     pool = np.arange(0, len(us), max_stride)
-    sub = rng_stream(seed, 3).choice(pool, size=min(dcor_m, len(pool)),
+    sub = rng_stream(seed, 3).choice(pool, size=min(_DCOR_M, len(pool)),
                                      replace=False)
     stat, p = distance_correlation_test(
         matrix.sym_to_vec(us[sub]), matrix.sym_to_vec(vs[sub]),
-        n_perm=n_perm, rng=rng_stream(seed, 4))
-    ind = IndependenceStat(float(stat), float(p), len(sub), n_perm)
+        n_perm=_N_PERM, rng=rng_stream(seed, 4))
+    ind = IndependenceStat(float(stat), float(p), len(sub), _N_PERM)
 
     norm = matrix_normalizers(spec, seed, n=400_000)
     resid = transport_grid_max(spec, grid_n=5, normalizers=norm, seed=seed)
     tol = max(3.0 * norm.se, 1e-9)
 
     mcmc_diag = {k: runs[k].diagnostics_dict() for k in runs}
-    flags = {f"ks_{k}": ks[k].p_value > p_threshold for k in ks}
-    flags["independence"] = ind.p_value > p_threshold
+    flags = {f"ks_{k}": ks[k].p_value > _P_THRESHOLD for k in ks}
+    flags["independence"] = ind.p_value > _P_THRESHOLD
     flags["transport"] = resid <= tol
     flags["mcmc_ok"] = all(runs[k].ok for k in runs)
     return BalanceReport(

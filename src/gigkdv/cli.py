@@ -89,12 +89,6 @@ def _resolve_seed(args, config: dict, default: int = 0) -> int:
     return default
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
 def _fmt(v) -> str:
     if isinstance(v, (np.floating, np.integer, np.bool_)):
         v = v.item()
@@ -110,28 +104,18 @@ def _header(cmd: str, seed, params: dict) -> str:
     return f"# gigkdv v{__version__} cmd={cmd} seed={seed} {fields}".rstrip()
 
 
-def write_csv(path, cmd, seed, params, columns, rows) -> None:
-    fh, close = _open_out(path)
-    try:
-        fh.write(_header(cmd, seed, params) + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    finally:
-        if close:
-            fh.close()
+def write_csv(out, cmd, seed, params, columns, rows) -> None:
+    out.write(_header(cmd, seed, params) + "\n")
+    out.write(",".join(columns) + "\n")
+    for row in rows:
+        out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_json(path, cmd, seed, params, payload) -> None:
+def write_json(out, cmd, seed, params, payload) -> None:
     doc = {"schema": "gigkdv-report-v1", "version": __version__,
            "command": cmd, "seed": seed, "params": params, "report": payload}
-    fh, close = _open_out(path)
-    try:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    json.dump(doc, out, indent=2, sort_keys=True, default=_json_default)
+    out.write("\n")
 
 
 def _json_default(obj):
@@ -162,9 +146,9 @@ def _parse_matrix(text: str, r: int, what: str) -> np.ndarray:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_specfun_check(args, config):
+def _cmd_specfun_check(args, config, out):
     rows = specfun.check_table()
-    write_csv(args.out, "specfun-check", 0, {},
+    write_csv(out, "specfun-check", 0, {},
               ("test", "nu", "z", "statistic", "threshold", "pass"), rows)
     return _battery_exit(rows)
 
@@ -179,7 +163,7 @@ def _law_from_args(kind, lam, a, b):
     raise DomainError(f"unknown law {kind!r}")
 
 
-def _cmd_dist_sample(args, config):
+def _cmd_dist_sample(args, config, out):
     seed = _resolve_seed(args, config)
     lam = _resolve(args, config, "lam", float, 0.5)
     a = _resolve(args, config, "a", float, 1.0)
@@ -188,56 +172,51 @@ def _cmd_dist_sample(args, config):
     law = _law_from_args(args.law, lam, a, b)
     values = dist.sample(law, seed, n)
     params = {"law": args.law, "lambda": lam, "a": a, "b": b, "n": n}
-    write_csv(args.out, "dist-sample", seed, params, ("value",),
+    write_csv(out, "dist-sample", seed, params, ("value",),
               ((v,) for v in values))
     return 0
 
 
-def _cmd_dist_check(args, config):
+def _cmd_dist_check(args, config, out):
     seed = _resolve_seed(args, config, default=20260809)
     rows = dist.check_battery(seed)
-    write_csv(args.out, "dist-check", seed, {},
+    write_csv(out, "dist-check", seed, {},
               ("test", "statistic", "threshold", "pass"), rows)
     return _battery_exit(rows)
 
 
-def _cmd_map_eval(args, config):
+def _cmd_map_eval(args, config, out):
     p = maps.MapParams(args.alpha, args.beta)
     fn = maps.psi if args.psi else maps.f_dk
     u, v = fn(p, (args.x, args.y))
     params = {"alpha": args.alpha, "beta": args.beta, "x": args.x, "y": args.y,
               "psi": args.psi}
-    fh, close = _open_out(args.out)
-    try:
-        fh.write(_header("map-eval", 0, params) + "\n")
-        fh.write(f"{u!r},{v!r}\n")
-    finally:
-        if close:
-            fh.close()
+    out.write(_header("map-eval", 0, params) + "\n")
+    out.write(f"{u!r},{v!r}\n")
     return 0
 
 
-def _cmd_map_check(args, config):
+def _cmd_map_check(args, config, out):
     seed = _resolve_seed(args, config, default=20260809)
     rows = maps.check_battery(seed)
-    write_csv(args.out, "map-check", seed, {},
+    write_csv(out, "map-check", seed, {},
               ("test", "statistic", "threshold", "pass"), rows)
     return _battery_exit(rows)
 
 
-def _cmd_matrix_check(args, config):
+def _cmd_matrix_check(args, config, out):
     seed = _resolve_seed(args, config)
     r = _resolve_r(args, config)
     alpha = _resolve(args, config, "alpha", float, 1.0)
     beta = _resolve(args, config, "beta", float, 2.0)
     rows = matrix.prop51_battery(r, alpha, beta, seed)
-    write_csv(args.out, "matrix-check", seed,
+    write_csv(out, "matrix-check", seed,
               {"r": r, "alpha": alpha, "beta": beta},
               ("test", "statistic", "threshold", "pass"), rows)
     return _battery_exit(rows)
 
 
-def _cmd_matrix_sample(args, config):
+def _cmd_matrix_sample(args, config, out):
     seed = _resolve_seed(args, config)
     r = _resolve_r(args, config)
     p = _resolve(args, config, "p", float, 1.5)
@@ -253,7 +232,7 @@ def _cmd_matrix_sample(args, config):
               "burn_in": burn_in, "thin": thin,
               "acceptance_rate": run.acceptance_rate,
               "mcmc_ok": run.ok}
-    write_csv(args.out, "matrix-sample", seed, params,
+    write_csv(out, "matrix-sample", seed, params,
               tuple(f"m{i}{j}" for i in range(r) for j in range(r)),
               (tuple(m.ravel()) for m in run.draws))
     return 0 if run.ok else 1
@@ -294,7 +273,7 @@ def _parse_batch(path):
     return specs
 
 
-def _cmd_balance_verify(args, config):
+def _cmd_balance_verify(args, config, out):
     seed = _resolve_seed(args, config, default=7)
     if args.batch:
         reports = []
@@ -315,14 +294,14 @@ def _cmd_balance_verify(args, config):
             rep = balance.monte_carlo_balance(spec, entry_seed, n)
             reports.append(rep.to_dict())
             status = max(status, 0 if rep.passed else 1)
-        write_json(args.out, "balance-verify-batch", seed,
+        write_json(out, "balance-verify-batch", seed,
                    {"batch": args.batch, "count": len(reports)},
                    {"reports": reports})
         return status
     n = _resolve(args, config, "n", int, 100_000)
     spec = _balance_spec_from(args, config)
     report = balance.monte_carlo_balance(spec, seed, n)
-    write_json(args.out, "balance-verify", seed, spec_params(spec, n),
+    write_json(out, "balance-verify", seed, spec_params(spec, n),
                report.to_dict())
     return 0 if report.passed else 1
 
@@ -331,7 +310,7 @@ def spec_params(spec, n):
     return {"variant": spec.variant, "n": n, **balance.spec_params(spec)}
 
 
-def _cmd_balance_machinery(args, config):
+def _cmd_balance_machinery(args, config, out):
     seed = _resolve_seed(args, config, default=7)
     n = _resolve(args, config, "n", int, 200_000)
     s = _resolve(args, config, "s", float, 0.7)
@@ -343,7 +322,7 @@ def _cmd_balance_machinery(args, config):
     res = balance.machinery_check(spec, s, sigma, theta, seed, n)
     params = spec_params(spec, n)
     params.update(s=s, sigma=sigma, theta=theta)
-    write_csv(args.out, "balance-machinery", seed, params,
+    write_csv(out, "balance-machinery", seed, params,
               ("test", "statistic", "threshold", "pass"), res.rows())
     return 0 if res.passed else 1
 
@@ -356,34 +335,28 @@ def _lattice_config_from(args, config, seed):
     lam = _resolve(args, config, "lam", float, 0.5)
     c = _resolve(args, config, "c", float, 1.0)
     c2 = _resolve(args, config, "c2", float, c)
-    kwargs = {}
-    if getattr(args, "replay", None):
-        kwargs["boundary"] = lattice.Replay(args.replay)
+    boundary = lattice.Replay(args.replay) if args.replay else None
     cfg = lattice.stationary_config(maps.MapParams(alpha, beta), lam, c, c2,
-                                    n_sites=n, horizon=t, seed=seed, **kwargs)
+                                    n_sites=n, horizon=t, seed=seed,
+                                    boundary=boundary)
     params = {"n": n, "t": t, "alpha": alpha, "beta": beta, "lambda": lam,
               "c": c, "c2": c2}
     return cfg, params
 
 
-def _cmd_lattice_run(args, config):
+def _cmd_lattice_run(args, config, out):
     seed = _resolve_seed(args, config)
     cfg, params = _lattice_config_from(args, config, seed)
-    fh, close = _open_out(args.out)
-    try:
-        fh.write(_header("lattice-run", seed, params) + "\n")
-        fh.write("t,n,x,y\n")
-        for frame in lattice.evolve(cfg):
-            for i in range(cfg.n_sites):
-                fh.write(f"{frame.t},{i + 1},"
-                         f"{float(frame.x_row[i])!r},{float(frame.y_row[i])!r}\n")
-    finally:
-        if close:
-            fh.close()
+    out.write(_header("lattice-run", seed, params) + "\n")
+    out.write("t,n,x,y\n")
+    for frame in lattice.evolve(cfg):
+        for i in range(cfg.n_sites):
+            out.write(f"{frame.t},{i + 1},"
+                      f"{float(frame.x_row[i])!r},{float(frame.y_row[i])!r}\n")
     return 0
 
 
-def _cmd_lattice_stationarity(args, config):
+def _cmd_lattice_stationarity(args, config, out):
     seed = _resolve_seed(args, config)
     cfg, params = _lattice_config_from(args, config, seed)
     text = args.probes or "10,25,50"
@@ -394,7 +367,7 @@ def _cmd_lattice_stationarity(args, config):
             f"--probes must be comma-separated integers, got {text!r}") from None
     report = lattice.stationarity_report(cfg, probes)
     params["probes"] = ",".join(str(p) for p in probes)
-    write_json(args.out, "lattice-stationarity", seed, params, report.to_dict())
+    write_json(out, "lattice-stationarity", seed, params, report.to_dict())
     return 0 if report.passed else 1
 
 
@@ -516,8 +489,12 @@ def dispatch(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        config = load_config(args.config) if getattr(args, "config", None) else {}
-        return args.fn(args, config)
+        config = load_config(args.config) if args.config else {}
+        # like a shell redirection, --out is created before the work starts
+        if args.out == "-":
+            return args.fn(args, config, sys.stdout)
+        with open(args.out, "w") as out:
+            return args.fn(args, config, out)
     except BrokenPipeError:
         raise  # `main` ends quietly when the reader of stdout goes away
     except (DomainError, NotSpdError, IllConditionedError, ConfigError,

@@ -49,8 +49,8 @@ class MapParams:
 def _check_pair(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise DomainError("coordinates must be > 0")
+    if not (np.all((x > 0.0) & (x < np.inf)) and np.all((y > 0.0) & (y < np.inf))):
+        raise DomainError("coordinates must be finite and > 0")
     return x, y
 
 
@@ -132,15 +132,15 @@ def psi_identities(p: MapParams, ab):
     return r1, r2, r3
 
 
-def jacobian_det(p: MapParams, xy, h_scale: float = 1e-6):
+def jacobian_det(p: MapParams, xy):
     """Signed determinant of the 2x2 Jacobian of f_dk by central differences.
 
-    Step h = h_scale * max(1, |coordinate|) per coordinate.  The exact
-    value is -1 on the whole domain.
+    Step h = 1e-6 * max(1, |coordinate|) per coordinate.  The exact value
+    is -1 on the whole domain.
     """
     x, y = _check_pair(*xy)
-    hx = h_scale * np.maximum(1.0, np.abs(x))
-    hy = h_scale * np.maximum(1.0, np.abs(y))
+    hx = 1e-6 * np.maximum(1.0, np.abs(x))
+    hy = 1e-6 * np.maximum(1.0, np.abs(y))
     uxp, vxp = f_dk(p, (x + hx, y))
     uxm, vxm = f_dk(p, (x - hx, y))
     uyp, vyp = f_dk(p, (x, y + hy))
@@ -153,9 +153,9 @@ def jacobian_det(p: MapParams, xy, h_scale: float = 1e-6):
     return float(det) if np.ndim(det) == 0 else det
 
 
-def jacobian_abs(p: MapParams, xy, h_scale: float = 1e-6):
+def jacobian_abs(p: MapParams, xy):
     """|det J| of f_dk; equals 1 within finite-difference tolerance."""
-    det = jacobian_det(p, xy, h_scale)
+    det = jacobian_det(p, xy)
     return abs(det) if np.ndim(det) == 0 else np.abs(det)
 
 

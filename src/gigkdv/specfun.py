@@ -179,13 +179,13 @@ def _quad_window(nu: float, z: float):
     return lo, hi, phi_max
 
 
-def bessel_k_log_quadrature(nu: float, z: float, rtol: float = 5e-14) -> float:
+def bessel_k_log_quadrature(nu: float, z: float) -> float:
     """log K_nu(z) by trapezoidal quadrature of the defining integral.
 
     Substituting t = e^u makes the integrand exp(-nu*u - e^u - (z^2/4)e^-u),
     which decays double-exponentially in both directions, so the trapezoid
     rule converges spectrally.  Step size is halved until two successive
-    levels agree to `rtol`.
+    levels agree to 5e-14 relative.
     """
     if not (math.isfinite(nu) and math.isfinite(z)) or z <= 0.0:
         raise DomainError("quadrature requires finite nu and z > 0")
@@ -203,16 +203,16 @@ def bessel_k_log_quadrature(nu: float, z: float, rtol: float = 5e-14) -> float:
     for _ in range(11):
         h *= 0.5
         val = log_sum(h)
-        if abs(val - prev) <= rtol * max(1.0, abs(val)):
+        if abs(val - prev) <= 5e-14 * max(1.0, abs(val)):
             prev = val
             break
         prev = val
     return nu * math.log(z / 2.0) - math.log(2.0) + phi_max + prev
 
 
-def bessel_k_quadrature(nu: float, z: float, rtol: float = 5e-14) -> float:
+def bessel_k_quadrature(nu: float, z: float) -> float:
     """K_nu(z) via the defining integral (independent of the AMOS path)."""
-    return math.exp(bessel_k_log_quadrature(nu, z, rtol))
+    return math.exp(bessel_k_log_quadrature(nu, z))
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +270,10 @@ def _iv_stencil(nu: float, zs) -> np.ndarray:
     return np.array(out, dtype=np.longdouble)
 
 
-def ode_residual(kind: str, nu: float, z: float, h_rel: float = 1e-5) -> float:
+def ode_residual(kind: str, nu: float, z: float) -> float:
     """Relative residual of z^2 g'' + z g' - (z^2 + nu^2) g.
 
-    Central differences at step h = h_rel * z on a three-point stencil
+    Central differences at step h = 1e-5 * z on a three-point stencil
     evaluated by the module's smooth extended-precision rule (quadrature
     for K, series for I).  The residual is divided by (z^2 + nu^2)|g(z)|,
     the magnitude of the equation's own terms, so it is invariant under
@@ -281,7 +281,7 @@ def ode_residual(kind: str, nu: float, z: float, h_rel: float = 1e-5) -> float:
     """
     if z <= 0.0:
         raise DomainError("ode_residual requires z > 0")
-    h = h_rel * z
+    h = 1e-5 * z
     zp, zm = z + h, z - h
     # offsets as actually represented; dividing by the nominal h would
     # inject a g' * (rounding of z+-h) / h^2 error far above truncation
@@ -296,16 +296,15 @@ def ode_residual(kind: str, nu: float, z: float, h_rel: float = 1e-5) -> float:
     return float(res / (scale * abs(g0)))
 
 
-def check_table(nu_grid=(-3.2, -0.5, 0.0, 0.7, 2.0, 5.5),
-                z_grid=(0.1, 0.5, 2.0, 10.0, 50.0)):
+def check_table():
     """Residual battery for the CLI: rows (test, nu, z, statistic, threshold, pass).
 
     Wronskian rows are restricted to z >= max(1, |nu|) where the identity
     does not suffer catastrophic cancellation in double precision.
     """
     rows = []
-    for nu in nu_grid:
-        for z in z_grid:
+    for nu in (-3.2, -0.5, 0.0, 0.7, 2.0, 5.5):
+        for z in (0.1, 0.5, 2.0, 10.0, 50.0):
             g = bessel_k(nu, z)
             r = abs(ode_residual("k", nu, z))
             rows.append(("ode_k", nu, z, r, 1e-6, r <= 1e-6))

@@ -254,6 +254,7 @@ def _replay_huge_x0(tmp_path):
 
 
 MATRIX_SAMPLE = ["matrix", "sample", "--r", "2", "--n", "10"]
+MAP_EVAL = ["map", "eval", "--alpha", "2", "--beta", "0.5"]
 
 
 def _config_thin(tmp_path):
@@ -310,13 +311,16 @@ class TestBadInput:
         (["matrix", "check", "--r", "-1"], None),
         (["dist", "sample", "--a", "1e308", "--n", "3"], None),
         (["dist", "sample", "--a", "1e-200", "--b", "1e-200", "--n", "3"], None),
+        (MAP_EVAL + ["--x", "nan", "--y", "0.5"], None),
+        (MAP_EVAL + ["--x", "inf", "--y", "0.5", "--psi"], None),
+        (["lattice", "stationarity", "--n", "1", "--t", "4", "--probes", "2,4"], None),
     ], ids=["flag-seed-negative", "flag-seed-too-big", "env-seed-too-big",
             "env-seed-text", "config-seed-text", "probes-text", "replay-text",
             "batch-seed-negative", "replay-short-yref", "replay-huge-x0",
             "thin-zero", "thin-negative", "burn-in-negative", "config-thin-zero",
             "matrix-sample-2-per-chain", "out-directory", "config-binary",
             "replay-binary", "matrix-text", "matrix-r-negative", "gig-rate-huge",
-            "gig-rates-tiny"])
+            "gig-rates-tiny", "map-x-nan", "map-x-inf-psi", "lattice-one-site"])
     def test_exits_2_with_one_line(self, argv, env, tmp_path, capsys,
                                    monkeypatch):
         if env is None:
@@ -326,6 +330,15 @@ class TestBadInput:
         if callable(argv):
             argv = argv(tmp_path)
         assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
+
+    def test_unwritable_out_found_before_the_work(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def work(seed):
+            pytest.fail("the battery ran before --out was opened")
+        monkeypatch.setattr(cli.dist, "check_battery", work)
+        assert run(["dist", "check", "--out", str(tmp_path / "missing" / "f")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
 
