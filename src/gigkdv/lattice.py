@@ -197,7 +197,9 @@ def _row(config: LatticeConfig, x_prev: np.ndarray, y_entry: float, t: int):
             a, b, c, d = ax2 * a + x * c, ax2 * b + x * d, bx * a + c, bx * b + d
             r = 1.0 / (a + b + c + d)  # entries are >= 0, so nothing cancels
             a, b, c, d = a * r, b * r, c * r, d * r
-    if not np.all(np.isfinite(a + b + c + d)):  # alpha x^2 overflowed
+    # alpha x^2 overflowed, or c = d = 0 (beta = 0 and d underflowed): the
+    # block then sends every carrier past the floating-point range
+    if not np.all(np.isfinite(a + b + c + d)) or np.any(c + d == 0.0):
         raise _out_of_range(t)
     entry = [float(y_entry)]
     for ai, bi, ci, di in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()):

@@ -46,7 +46,6 @@ __all__ = [
     "jacobian_abs_matrix",
     "mgig_log_pdf_unnorm",
     "mgig_log_norm",
-    "mgig_log_pdf",
     "mgig_mode",
     "mgig_sample",
     "endo_det_residual",
@@ -61,9 +60,10 @@ def check_spd(x, what: str = "matrix") -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise NotSpdError(f"{what} must be square, got shape {x.shape}")
-    scale = np.linalg.norm(x)
-    if not np.all(np.isfinite(x)) or scale == 0.0:
-        raise NotSpdError(f"{what} must be finite and nonzero")
+    with np.errstate(over="ignore"):  # entries above ~1e154 overflow it
+        scale = np.linalg.norm(x)
+    if not 0.0 < scale < np.inf:
+        raise NotSpdError(f"{what} needs finite entries and a finite, nonzero norm")
     if np.linalg.norm(x - x.T) > 1e-12 * scale:
         raise NotSpdError(f"{what} is not symmetric")
     x = 0.5 * (x + x.T)
@@ -117,7 +117,8 @@ def f_dk_matrix(p: MapParams, xy):
     Outputs are re-symmetrized after an asymmetry check (1e-8 relative) and
     verified SPD.
     Raises IllConditionedError when an intermediate inverse exceeds the
-    condition ceiling, NotSpdError when an image leaves the cone.
+    condition ceiling, NotSpdError when an image leaves the cone, and
+    DomainError when an image's norm leaves the floating-point range.
     """
     if not (p.alpha > 0.0 and p.beta > 0.0):
         raise DomainError("matrix map requires alpha > 0 and beta > 0")
@@ -128,8 +129,9 @@ def f_dk_matrix(p: MapParams, xy):
     eye = np.eye(r)
     xy_ = x @ y
     yx_ = y @ x
-    a_x = eye + p.alpha * xy_
-    a_y = eye + p.beta * yx_
+    with np.errstate(over="ignore"):  # an overflow fails the ceiling below
+        a_x = eye + p.alpha * xy_
+        a_y = eye + p.beta * yx_
     cond = max(np.max(np.linalg.cond(a_x)), np.max(np.linalg.cond(a_y)))
     if cond > COND_CEILING:
         raise IllConditionedError(
@@ -138,7 +140,10 @@ def f_dk_matrix(p: MapParams, xy):
     v = x @ np.linalg.solve(a_y, eye + p.alpha * yx_)
 
     def finish(m, name):
-        scale = np.linalg.norm(m, axis=(-2, -1))
+        with np.errstate(over="ignore"):  # entries above ~1e154 overflow it
+            scale = np.linalg.norm(m, axis=(-2, -1))
+        if not np.all(scale < np.inf):
+            raise DomainError(f"image {name} leaves the floating-point range")
         asym = np.linalg.norm(m - np.swapaxes(m, -1, -2), axis=(-2, -1))
         if np.any(asym > 1e-8 * scale):
             raise NotSpdError(f"image {name} asymmetric beyond tolerance")
@@ -330,19 +335,6 @@ def mgig_log_norm(params: MgigParams, seed: int = 0, n: int = 200_000):
     return log_norm, se
 
 
-def mgig_log_pdf(params: MgigParams, x, log_norm: float | None = None):
-    """Normalized MGIG log density.
-
-    For r = 1 the normalizer is exact (and equals the GIG(p, a/2, b/2) log
-    density).  For r >= 2 pass a precomputed `log_norm` from
-    `mgig_log_norm` to control its Monte-Carlo error; otherwise one is
-    estimated with default settings.
-    """
-    if log_norm is None:
-        log_norm, _ = mgig_log_norm(params)
-    return mgig_log_pdf_unnorm(params, x) - log_norm
-
-
 # ---------------------------------------------------------------------------
 # MCMC sampling on the Cholesky factor
 # ---------------------------------------------------------------------------
@@ -448,7 +440,6 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
     chol = np.zeros((chains, r * r))
     chol_t = np.swapaxes(chol.reshape(chains, r, r), -1, -2)
     weights = np.arange(r + 1, 1, -1, dtype=float)  # r+1-i+1 for i = 1..r
-    ld_coef = params.p - 0.5 * (r + 1)
 
     def log_target(theta):
         # the density of x = L L^T pulled back to theta, and x; the
@@ -457,11 +448,7 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
         chol[:, lower_cells] = theta[:, r:]
         x = chol.reshape(chains, r, r) @ chol_t
         jac = (weights * theta[:, :r]).sum(axis=-1)
-        ld = 2.0 * theta[:, :r].sum(axis=-1)
-        xinv = np.linalg.inv(x)
-        tr_ax = np.einsum("ij,kji->k", params.a, x)
-        tr_bxi = np.einsum("ij,kji->k", params.b, xinv)
-        return ld_coef * ld - 0.5 * (tr_ax + tr_bxi) + jac, x
+        return _log_kernel(params, x, 2.0 * theta[:, :r].sum(axis=-1)) + jac, x
 
     chol0 = np.linalg.cholesky(mgig_mode(params))
     theta0 = np.concatenate([np.log(np.diag(chol0)), chol0[il]])

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from gigkdv import cli
 
+# a numpy warning on stderr would break the one-line-error rule
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def run(argv):
     return cli.dispatch(argv)
@@ -253,6 +256,13 @@ def _replay_huge_x0(tmp_path):
     return _replay(tmp_path, [1e200] + [1.0] * 199, [1.0] * 4, [1.0] * 200)
 
 
+def _replay_beta_zero(tmp_path):
+    # with beta = 0 the carrier grows by about alpha x^2 per cell, and the
+    # row scan's block composite has c = 0 and an underflowed d
+    return (_replay(tmp_path, [1000.0] * 200, [1.0] * 4, [1.0] * 200)
+            + ["--alpha", "1", "--beta", "0"])
+
+
 MATRIX_SAMPLE = ["matrix", "sample", "--r", "2", "--n", "10"]
 MAP_EVAL = ["map", "eval", "--alpha", "2", "--beta", "0.5"]
 
@@ -314,13 +324,21 @@ class TestBadInput:
         (MAP_EVAL + ["--x", "nan", "--y", "0.5"], None),
         (MAP_EVAL + ["--x", "inf", "--y", "0.5", "--psi"], None),
         (["lattice", "stationarity", "--n", "1", "--t", "4", "--probes", "2,4"], None),
+        (_replay_beta_zero, None),
+        (["matrix", "check", "--r", "2", "--alpha", "1e308"], None),
+        (["matrix", "check", "--r", "3", "--beta", "1e308"], None),
+        (["dist", "sample", "--law", "gamma", "--lambda", "inf", "--n", "3"], None),
+        (["dist", "sample", "--law", "gamma", "--a", "inf", "--n", "3"], None),
+        (["dist", "sample", "--law", "invgamma", "--b", "inf", "--n", "3"], None),
     ], ids=["flag-seed-negative", "flag-seed-too-big", "env-seed-too-big",
             "env-seed-text", "config-seed-text", "probes-text", "replay-text",
             "batch-seed-negative", "replay-short-yref", "replay-huge-x0",
             "thin-zero", "thin-negative", "burn-in-negative", "config-thin-zero",
             "matrix-sample-2-per-chain", "out-directory", "config-binary",
             "replay-binary", "matrix-text", "matrix-r-negative", "gig-rate-huge",
-            "gig-rates-tiny", "map-x-nan", "map-x-inf-psi", "lattice-one-site"])
+            "gig-rates-tiny", "map-x-nan", "map-x-inf-psi", "lattice-one-site",
+            "replay-beta-zero", "matrix-alpha-huge", "matrix-beta-huge",
+            "gamma-shape-inf", "gamma-rate-inf", "invgamma-rate-inf"])
     def test_exits_2_with_one_line(self, argv, env, tmp_path, capsys,
                                    monkeypatch):
         if env is None:

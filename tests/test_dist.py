@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,13 @@ LAWS = [
 
 def quad_integral(law, weight=None, lo=0.0, hi=np.inf):
     """Adaptive-quadrature oracle for integrals of the density."""
-    mode = math.exp(dist._weight_mode(law))
+    # split at the maximizer of x f(x), where the mass sits
+    if isinstance(law, dist.GammaParams):
+        mode = law.lam / law.a
+    elif isinstance(law, dist.InvGammaParams):
+        mode = law.b / law.lam
+    else:
+        mode = math.exp(dist._weight_mode(law))
 
     def f(x):
         v = math.exp(dist.log_pdf(law, x))
@@ -134,12 +141,8 @@ WEAK_GRID = np.geomspace(0.05, 20.0, 40)
      dist.sample(dist.GigParams(0.7, 3.0, 7.0), 20260809, 100_000, stream=4)),
     (dist.GigParams(1.2, 0.8, 1e-8), WEAK_GRID),
     (dist.GigParams(-1.2, 1e-8, 0.8), WEAK_GRID),
-    (dist.GammaParams(1.2, 0.8), WEAK_GRID),
-    (dist.InvGammaParams(1.2, 0.8), WEAK_GRID),
-    (dist.GammaParams(0.4, 0.9), np.geomspace(1e-6, 1e3, 25)),
     (dist.GigParams(-2.3, 0.4, 3.0), np.array([1.7])),
-], ids=["gig-1e5-draws", "weak-gamma-grid", "weak-invgamma-grid",
-        "gamma-grid", "invgamma-grid", "gamma-wide-grid", "single-point"])
+], ids=["gig-1e5-draws", "weak-gamma-grid", "weak-invgamma-grid", "single-point"])
 def test_panel_integrals_match_oracle(law, xs):
     # the same edges as `cdf` builds: window start, then the sorted,
     # clipped log query points
@@ -147,6 +150,24 @@ def test_panel_integrals_match_oracle(law, xs):
     edges = np.concatenate([[t_lo], np.clip(np.sort(np.log(xs)), t_lo, t_hi)])
     assert np.array_equal(dist._panel_integrals(law, edges, width),
                           oracle_panel_integrals(law, edges, width))
+
+
+@pytest.mark.parametrize("law,oracle", [
+    (dist.GammaParams(1e-6, 0.9), stats.gamma(1e-6, scale=1.0 / 0.9)),
+    (dist.InvGammaParams(1e-6, 1.4), stats.invgamma(1e-6, scale=1.4)),
+], ids=["gamma", "invgamma"])
+def test_limit_cdf_tiny_shape(law, oracle):
+    # quadrature in the log variable needs a window growing like 1/lam,
+    # 183 MB of nodes at lam = 1e-3; the incomplete gamma function does not
+    xs = np.geomspace(1e-300, 1e3, 61)
+    tracemalloc.start()
+    try:
+        got = dist.cdf(law, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert np.max(np.abs(got - oracle.cdf(xs))) <= 1e-14
 
 
 class TestExtLaplace:

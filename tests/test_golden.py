@@ -25,8 +25,10 @@ GOLDEN = [
      "dc00cd71db45cf247202dd452ee86c4c95f51aa29fd3e77c56a5502bb8cf6030"),
     ("lattice run --n 50 --t 3 --seed 3", 0,
      "d41c9e89fc4e6c3a81b9ef05a4d2ad8fa5ead5a2517919d5f6e3d1c959cef3de"),
+    # re-recorded when the limit-family CDFs became incomplete gamma
+    # functions: the two weak_limit rows moved in their last digits
     ("dist check --seed 20260809", 0,
-     "1078da98a953e83692bd1888167c9864553686df157c93355d37c861e5220de8"),
+     "ff71386c36c552c3671d0ca69cbbdae63d2e1123046d41279b57c6d15b8951a0"),
     ("map check --seed 20260809", 0,
      "add4286c0e6f6438e29eb190d83fa385fc3127bb21fcb70776bfab046b91a835"),
     ("matrix check --r 3 --seed 7", 0,
