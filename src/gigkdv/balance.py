@@ -84,6 +84,13 @@ class BalanceSpec:
             object.__setattr__(self, "b", matrix.check_spd(self.b, "b"))
             if not (self.map.alpha > 0.0 and self.map.beta > 0.0):
                 raise DomainError("matrix variant requires alpha, beta > 0")
+            # the four laws take alpha a, alpha b, beta a and beta b as rates;
+            # a product that fails there is named here for its flag
+            for name, scale in (("alpha", self.map.alpha), ("beta", self.map.beta)):
+                for mat in ("a", "b"):
+                    with np.errstate(over="ignore"):  # check_spd rejects it
+                        scaled = scale * getattr(self, mat)
+                    matrix.check_spd(scaled, f"{name} * {mat}")
         else:
             if not (self.c1 > 0.0 and self.c2 > 0.0):
                 raise DomainError("c1, c2 must be > 0")
@@ -210,9 +217,14 @@ _TIE_RTOL = 1e-10
 
 
 def _dist_matrix(z: np.ndarray) -> np.ndarray:
-    # z: (m, d) sample; returns the double-centered distance matrix
-    diff = z[:, None, :] - z[None, :, :]
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    # z: (m, d) sample; returns the double-centered distance matrix, built
+    # in blocks of rows whose differences span about _BATCH_CELLS cells
+    m = len(z)
+    d = np.empty((m, m))
+    rows = max(1, _BATCH_CELLS // (m * z.shape[1]))
+    for s in range(0, m, rows):
+        diff = z[s:s + rows, None, :] - z[None, :, :]
+        np.sqrt(np.sum(diff * diff, axis=-1), out=d[s:s + rows])
     return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
 
 
@@ -225,10 +237,10 @@ def _dcor_matrices(u: np.ndarray, v: np.ndarray):
     if dvar <= 0.0:
         return None
 
-    m = len(ca)
-
     def dcor_of(idx):
-        dcov2 = max(float((ca * cb.take(idx[:, None] * m + idx)).mean()), 0.0)
+        g = cb.take(idx, 0).take(idx, 1)
+        np.multiply(ca, g, out=g)
+        dcov2 = max(float(g.mean()), 0.0)
         return math.sqrt(dcov2 / math.sqrt(dvar))
 
     return lambda rows: np.array([dcor_of(idx) for idx in rows])
@@ -322,8 +334,9 @@ def distance_correlation_test(u: np.ndarray, v: np.ndarray,
     and dominance sums, O(m log m) per permutation; permutations are
     batched, so that a batch costs O(log m) numpy steps, in
     O(_BATCH_CELLS + m) memory.  For d > 1 the double-centered distance
-    matrices are computed once and each permutation re-indexes the second
-    one, O(m^2) per permutation after an O(m^2 d) setup.  The p-value
+    matrices are computed once, in blocks of rows, and each permutation
+    re-indexes the second one, O(m^2) per permutation after an O(m^2 d)
+    setup, in O(m^2 + _BATCH_CELLS) memory.  The p-value
     (1 + #{perm >= observed}) / (n_perm + 1) is exact under independence.
     """
     if rng is None:

@@ -134,12 +134,16 @@ def log_pdf(law: MarginalLaw, x) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# subpanels per chunk of `_panel_integrals`: 2^16 nodes, about 0.5 MB each
+# for the nodes and the values
+_CHUNK_SUBPANELS = (1 << 16) // len(_GL_NODES)
 
 
-def _log_weight(law: GigParams, t: np.ndarray) -> np.ndarray:
-    # integrand of the CDF after x = e^t:  w(t) = f(e^t) e^t
+def _log_weight(law: GigParams, t: np.ndarray, log_norm: float) -> np.ndarray:
+    # integrand of the CDF after x = e^t:  w(t) = f(e^t) e^t, where
+    # log_norm = _log_norm(law) is computed once by the caller
     x = np.exp(t)
-    return _log_norm(law) + law.lam * t - law.a * x - law.b / x
+    return log_norm + law.lam * t - law.a * x - law.b / x
 
 
 def _weight_mode(law: GigParams) -> float:
@@ -151,11 +155,12 @@ def _weight_mode(law: GigParams) -> float:
 def _window(law: GigParams):
     # (t_lo, t_hi, panel width): region outside carries < ~1e-15 mass
     t0 = _weight_mode(law)
-    lw0 = float(_log_weight(law, np.array(t0)))
+    log_norm = _log_norm(law)
+    lw0 = float(_log_weight(law, np.array(t0), log_norm))
 
     def expand(direction):
         step, t = 1.0, t0
-        while float(_log_weight(law, np.array(t + direction * step))) > lw0 - 130.0:
+        while float(_log_weight(law, np.array(t + direction * step), log_norm)) > lw0 - 130.0:
             step *= 2.0
             if step > 1e12:
                 raise DomainError("CDF integrand fails to decay")
@@ -169,20 +174,30 @@ def _window(law: GigParams):
 
 def _panel_integrals(law: GigParams, edges: np.ndarray, width: float) -> np.ndarray:
     # integral of w over each [edges[i], edges[i+1]], Gauss-Legendre on
-    # subpanels no wider than `width`
+    # subpanels no wider than `width`; the nodes are evaluated in chunks of
+    # whole panels holding at most _CHUNK_SUBPANELS subpanels (a wider panel
+    # is a chunk of its own), so memory does not grow with the point count
     lo, hi = edges[:-1], edges[1:]
     n_sub = np.maximum(1, np.ceil((hi - lo) / width).astype(int))
-    owner = np.repeat(np.arange(len(lo)), n_sub)
-    steps = np.repeat((hi - lo) / n_sub, n_sub)
-    # index of each subpanel within its panel
-    offset = np.arange(n_sub.sum()) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    sub_lo = lo[owner] + offset * steps
-    half = 0.5 * steps
-    nodes = sub_lo[:, None] + half[:, None] * (_GL_NODES[None, :] + 1.0)
-    vals = np.exp(_log_weight(law, nodes.ravel())).reshape(nodes.shape)
-    sub = (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+    ends = np.cumsum(n_sub)
+    log_norm = _log_norm(law)
     out = np.zeros(len(lo))
-    np.add.at(out, owner, sub)
+    start = 0
+    while start < len(lo):
+        limit = ends[start] - n_sub[start] + _CHUNK_SUBPANELS
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        k = n_sub[start:stop]
+        owner = np.repeat(np.arange(stop - start), k)
+        # index of each subpanel within its panel
+        offset = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+        step = ((hi[start:stop] - lo[start:stop]) / k)[owner]
+        sub_lo = lo[start:stop][owner] + offset * step
+        half = 0.5 * step
+        nodes = sub_lo[:, None] + half[:, None] * (_GL_NODES[None, :] + 1.0)
+        vals = np.exp(_log_weight(law, nodes.ravel(), log_norm)).reshape(nodes.shape)
+        sub = (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * half
+        np.add.at(out[start:stop], owner, sub)
+        start = stop
     return out
 
 
@@ -205,13 +220,12 @@ def cdf(law: MarginalLaw, x) -> float | np.ndarray:
                    else gammaincc(law.lam, law.b / xs))
         return float(out[0]) if scalar else out
     # the query points are sorted once and the density is integrated
-    # panel-by-panel between consecutive points, all subpanels in
-    # whole-array operations, so a full KS-test evaluation costs one pass
+    # panel-by-panel between consecutive points, the subpanels in
+    # whole-array chunks, so a full KS-test evaluation costs one pass
     t_lo, t_hi, width = _window(law)
     t = np.log(xs)
     order = np.argsort(t, kind="stable")
-    ts = np.clip(t[order], t_lo, t_hi)
-    edges = np.concatenate([[t_lo], ts])
+    edges = np.concatenate([[t_lo], np.clip(t[order], t_lo, t_hi)])
     panels = _panel_integrals(law, edges, width)
     vals = np.clip(np.cumsum(panels), 0.0, 1.0)
     out = np.empty_like(vals)
@@ -415,11 +429,11 @@ def check_battery(seed: int = 20260809, ks_n: int = 100_000):
     t_lo, t_hi, width = _window(law)
     edges = np.linspace(t_lo - 3.0, t_hi + 3.0, 2400)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    integ = 0.0
+    integ, log_norm = 0.0, _log_norm(law)
     for k, wgt in zip(_GL_NODES, _GL_WEIGHTS):
         nodes = mids + 0.5 * (edges[1] - edges[0]) * k
         x = np.exp(nodes)
-        integ += wgt * np.sum(np.exp(_log_weight(law, nodes) + s * nodes
+        integ += wgt * np.sum(np.exp(_log_weight(law, nodes, log_norm) + s * nodes
                                      + sg * x + th / x))
     integ *= 0.5 * (edges[1] - edges[0])
     rel = abs(integ - ext_laplace(law, s, sg, th)) / ext_laplace(law, s, sg, th)

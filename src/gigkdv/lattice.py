@@ -190,14 +190,19 @@ def _row(config: LatticeConfig, x_prev: np.ndarray, y_entry: float, t: int):
     xb = xb.reshape(-1, _BLOCK)  # the padding cells are computed, then dropped
     m = len(xb) - 1  # the last block's composite feeds no later block
     a, b, c, d = np.ones(m), np.zeros(m), np.zeros(m), np.ones(m)
+    al, be = config.map.alpha, config.map.beta
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for k in range(_BLOCK):
+            # the cell matrix divided by max(x, 1): [[alpha x xs, xs],
+            # [beta xs, s]] with xs = min(x, 1) and s = 1 / max(x, 1), whose
+            # entries stay in range for every finite x > 0
             x = xb[:-1, k]
-            ax2, bx = config.map.alpha * x * x, config.map.beta * x
-            a, b, c, d = ax2 * a + x * c, ax2 * b + x * d, bx * a + c, bx * b + d
+            xs = np.minimum(x, 1.0)
+            s, axs, bxs = xs / x, al * x * xs, be * xs
+            a, b, c, d = axs * a + xs * c, axs * b + xs * d, bxs * a + s * c, bxs * b + s * d
             r = 1.0 / (a + b + c + d)  # entries are >= 0, so nothing cancels
             a, b, c, d = a * r, b * r, c * r, d * r
-    # alpha x^2 overflowed, or c = d = 0 (beta = 0 and d underflowed): the
+    # an entry overflowed, or c = d = 0 (beta = 0 and d underflowed): the
     # block then sends every carrier past the floating-point range
     if not np.all(np.isfinite(a + b + c + d)) or np.any(c + d == 0.0):
         raise _out_of_range(t)

@@ -13,7 +13,7 @@ has density proportional to
 
 on the SPD cone.  Its normalizer has no closed form for r >= 2 and is
 estimated by importance sampling against a mode-matched Wishart proposal,
-drawn in one vectorized pass by the Bartlett decomposition (exact Bessel
+drawn in vectorized blocks by the Bartlett decomposition (exact Bessel
 form at r = 1); sampling is Metropolis-Hastings on the Cholesky factor
 with burn-in-only scale adaptation.
 
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 COND_CEILING = 1e12
+_IS_BLOCK = 1 << 14  # proposal draws built and weighed at once by mgig_log_norm
 
 
 def check_spd(x, what: str = "matrix") -> np.ndarray:
@@ -295,18 +296,28 @@ def _wishart_log_pdf(df: float, v: np.ndarray, x: np.ndarray,
             - multigammaln(0.5 * df, r))
 
 
-def _wishart_draws(df: float, v: np.ndarray, n: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    # Bartlett (1933): x = C A A^T C^T with C = chol(v), A lower triangular,
-    # A_ij ~ N(0, 1) below the diagonal and A_ii = sqrt(chi2(df - i)); the
-    # generator is consumed in the order scipy.stats.wishart.rvs uses
-    r = v.shape[0]
-    il = np.tril_indices(r, k=-1)
-    a = np.zeros((n, r, r))
-    a[:, il[0], il[1]] = rng.normal(size=n * len(il[0])).reshape(n, -1)
+def _bartlett_variates(df: float, r: int, n: int, rng: np.random.Generator):
+    # the random part of n Bartlett draws (see `_wishart_draws`): the
+    # normals below the diagonal, (n, r(r-1)/2), then the diagonal
+    # sqrt(chi2(df - i)), (r, n), drawn in the order scipy.stats.wishart.rvs
+    # consumes the generator
+    normals = rng.normal(size=n * (r * (r - 1) // 2)).reshape(n, -1)
+    diag = np.empty((r, n))
     for i in range(r):
-        a[:, i, i] = rng.chisquare(df - i, size=n) ** 0.5
-    a = np.linalg.cholesky(v) @ a
+        diag[i] = rng.chisquare(df - i, size=n) ** 0.5
+    return normals, diag
+
+
+def _wishart_draws(chol_v: np.ndarray, normals: np.ndarray,
+                   diag: np.ndarray) -> np.ndarray:
+    # Bartlett (1933): x = C A A^T C^T with C = chol(v) and A lower
+    # triangular, holding `normals` below its diagonal and `diag` on it
+    r = chol_v.shape[0]
+    il = np.tril_indices(r, k=-1)
+    a = np.zeros((len(normals), r, r))
+    a[:, il[0], il[1]] = normals
+    a[:, np.arange(r), np.arange(r)] = diag.T
+    a = chol_v @ a
     return a @ np.swapaxes(a, -1, -2)
 
 
@@ -324,9 +335,16 @@ def mgig_log_norm(params: MgigParams, seed: int = 0, n: int = 200_000):
               + specfun.bessel_k_log(params.p, math.sqrt(a * b)))
         return ln, 0.0
     df, v = _wishart_proposal(params)
-    draws = _wishart_draws(df, v, n, rng_stream(seed, 90_001))
-    ld = _logdet_spd(draws)
-    lw = _log_kernel(params, draws, ld) - _wishart_log_pdf(df, v, draws, ld)
+    normals, diag = _bartlett_variates(df, params.r, n, rng_stream(seed, 90_001))
+    chol_v = np.linalg.cholesky(v)
+    # the draws are built and weighed _IS_BLOCK at a time, so only the
+    # variates and the log weights are held for all n
+    lw = np.empty(n)
+    for s in range(0, n, _IS_BLOCK):
+        block = slice(s, s + _IS_BLOCK)
+        x = _wishart_draws(chol_v, normals[block], diag[:, block])
+        ld = _logdet_spd(x)
+        lw[block] = _log_kernel(params, x, ld) - _wishart_log_pdf(df, v, x, ld)
     m = np.max(lw)
     w = np.exp(lw - m)
     mean_w = float(np.mean(w))

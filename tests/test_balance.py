@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -190,6 +191,28 @@ class TestDistanceCorrelation:
             got = balance.distance_correlation_test(u, v, n_perm=99,
                                                     rng=rng_stream(seed, 8))
             assert got == oracle_dcor_matrices_test(u, v, 99, rng_stream(seed, 8))
+
+    @pytest.mark.parametrize("d", [3, 6, 15])
+    def test_dimensions_match_ix_oracle(self, d):
+        # m = 700 splits the distance matrix into blocks of rows with a
+        # ragged last block at each d
+        rng = rng_stream(d, 200)
+        u = rng.normal(size=(700, d))
+        v = np.column_stack([u[:, :1] ** 2, rng.normal(size=(700, d - 1))])
+        got = balance.distance_correlation_test(u, v, n_perm=19,
+                                                rng=rng_stream(d, 9))
+        assert got == oracle_dcor_matrices_test(u, v, 19, rng_stream(d, 9))
+
+    def test_distance_matrix_memory_bounded(self):
+        # an (m, m, d) difference tensor once took a 104 MB peak here
+        z = rng_stream(3, 0).normal(size=(1000, 6))
+        tracemalloc.start()
+        try:
+            balance._dist_matrix(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000_000
 
     def test_three_vectors_unchanged(self):
         # d > 1 keeps the double-centered matrices; the value was computed

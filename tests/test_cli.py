@@ -252,8 +252,10 @@ def _replay_short_yref(tmp_path):
 
 
 def _replay_huge_x0(tmp_path):
-    # ahead of the last block of the row scan, which squares x
-    return _replay(tmp_path, [1e200] + [1.0] * 199, [1.0] * 4, [1.0] * 200)
+    # the carrier leaving the first cell is about x alpha / beta, past the
+    # floating-point range
+    return (_replay(tmp_path, [1.7e308] + [1.0] * 199, [1.0] * 4, [1.0] * 200)
+            + ["--alpha", "2", "--beta", "1"])
 
 
 def _replay_beta_zero(tmp_path):
@@ -350,6 +352,16 @@ class TestBadInput:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_scaled_rate_names_its_flag(self, flag, capsys, monkeypatch):
+        # the laws' rates are alpha a, beta b, ...; an overflow there is the
+        # flag's fault, not that of the identity matrices a and b
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        assert run(["balance", "verify", "--variant", "matrix", flag, "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"gigkdv: error: {flag[2:]} * a needs finite entries")
 
     def test_unwritable_out_found_before_the_work(self, tmp_path, capsys,
                                                   monkeypatch):

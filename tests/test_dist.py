@@ -126,30 +126,69 @@ def oracle_panel_integrals(law, edges, width):
     sub_lo = starts + offset * steps
     half = 0.5 * steps
     nodes = sub_lo[:, None] + half[:, None] * (dist._GL_NODES[None, :] + 1.0)
-    vals = np.exp(dist._log_weight(law, nodes.ravel())).reshape(nodes.shape)
+    vals = np.exp(dist._log_weight(law, nodes.ravel(), dist._log_norm(law))
+                  ).reshape(nodes.shape)
     sub = (vals * dist._GL_WEIGHTS[None, :]).sum(axis=1) * half
     out = np.zeros(len(lo))
     np.add.at(out, owner, sub)
     return out
 
 
-WEAK_GRID = np.geomspace(0.05, 20.0, 40)
-
-
-@pytest.mark.parametrize("law,xs", [
-    (dist.GigParams(0.7, 3.0, 7.0),
-     dist.sample(dist.GigParams(0.7, 3.0, 7.0), 20260809, 100_000, stream=4)),
-    (dist.GigParams(1.2, 0.8, 1e-8), WEAK_GRID),
-    (dist.GigParams(-1.2, 1e-8, 0.8), WEAK_GRID),
-    (dist.GigParams(-2.3, 0.4, 3.0), np.array([1.7])),
-], ids=["gig-1e5-draws", "weak-gamma-grid", "weak-invgamma-grid", "single-point"])
-def test_panel_integrals_match_oracle(law, xs):
-    # the same edges as `cdf` builds: window start, then the sorted,
+def cdf_edges(law, xs):
+    # the edges and width that `cdf` builds: window start, then the sorted,
     # clipped log query points
     t_lo, t_hi, width = dist._window(law)
-    edges = np.concatenate([[t_lo], np.clip(np.sort(np.log(xs)), t_lo, t_hi)])
+    return np.concatenate([[t_lo], np.clip(np.sort(np.log(xs)), t_lo, t_hi)]), width
+
+
+def counted_edges(counts, width=0.01):
+    # edges of panels holding exactly counts[i] subpanels of `width` each,
+    # around the mode of CHUNK_LAW; a panel (k - 1/2) widths wide has k
+    spans = (np.asarray(counts) - 0.5) * width
+    t0 = dist._weight_mode(CHUNK_LAW) - 0.5 * spans.sum()
+    return t0 + np.concatenate([[0.0], np.cumsum(spans)]), width
+
+
+WEAK_GRID = np.geomspace(0.05, 20.0, 40)
+CHUNK_LAW = dist.GigParams(0.7, 3.0, 7.0)
+CHUNK = dist._CHUNK_SUBPANELS
+
+
+@pytest.mark.parametrize("law,edges_width", [
+    (dist.GigParams(0.7, 3.0, 7.0),
+     cdf_edges(dist.GigParams(0.7, 3.0, 7.0),
+               dist.sample(dist.GigParams(0.7, 3.0, 7.0), 20260809, 100_000, stream=4))),
+    (dist.GigParams(1.2, 0.8, 1e-8), cdf_edges(dist.GigParams(1.2, 0.8, 1e-8), WEAK_GRID)),
+    (dist.GigParams(-1.2, 1e-8, 0.8), cdf_edges(dist.GigParams(-1.2, 1e-8, 0.8), WEAK_GRID)),
+    (dist.GigParams(-2.3, 0.4, 3.0), cdf_edges(dist.GigParams(-2.3, 0.4, 3.0), np.array([1.7]))),
+    # subpanel totals one below, at and one above a chunk
+    (CHUNK_LAW, counted_edges([1] * (CHUNK - 1))),
+    (CHUNK_LAW, counted_edges([1] * CHUNK)),
+    (CHUNK_LAW, counted_edges([1] * (CHUNK + 1))),
+    # a panel that would straddle the first chunk starts the second
+    (CHUNK_LAW, counted_edges([1] * (CHUNK - 2) + [3] + [1] * 10)),
+    # a panel wider than a chunk is a chunk of its own
+    (CHUNK_LAW, counted_edges([2, 2 * CHUNK + 5, 1])),
+], ids=["gig-1e5-draws", "weak-gamma-grid", "weak-invgamma-grid", "single-point",
+        "subpanels-4095", "subpanels-4096", "subpanels-4097", "panel-straddles-chunk",
+        "panel-wider-than-chunk"])
+def test_panel_integrals_match_oracle(law, edges_width):
+    edges, width = edges_width
     assert np.array_equal(dist._panel_integrals(law, edges, width),
                           oracle_panel_integrals(law, edges, width))
+
+
+def test_cdf_memory_bounded():
+    # the nodes are evaluated in chunks: 1e6 points once took a 592 MB peak
+    law = dist.GigParams(0.7, 3.0, 7.0)
+    xs = dist.sample(law, 3, 1_000_000)
+    tracemalloc.start()
+    try:
+        dist.cdf(law, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000_000
 
 
 @pytest.mark.parametrize("law,oracle", [

@@ -19,6 +19,9 @@ GOLDEN = [
      "a36ba8173f7fe21c7781c9f024bb32c5115c8497a74b77e376c9388763ce43a4"),
     ("balance verify --variant matrix --r 2 --n 1000 --seed 7", 0,
      "7f22d254ad8767db05ddc0d5345612bb0036606220de77bac07658f515fdd259"),
+    # recorded at aeafd57: pins the d = 6 distance matrices and r = 3 draws
+    ("balance verify --variant matrix --r 3 --n 1000 --seed 7", 0,
+     "be505768aa7ae02e4b5c3815f9b10bd890ce716dbaf52c87423655c4e8fe2949"),
     ("balance machinery --n 20000 --seed 7", 0,
      "c05180dd668d38bcfc1e5ceb8e0d70b7ea1ffa0c32865f89db0dcdc9a77a4a2b"),
     ("lattice stationarity --n 2000 --t 10 --probes 5,10 --seed 9", 0,

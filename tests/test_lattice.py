@@ -132,21 +132,23 @@ class TestEvolve:
             list(lattice.evolve(other))
 
     def test_values_near_the_float_limit(self, tmp_path):
-        # f_dk and the conservation check stay finite near 1e300; the row
-        # scan squares x, so a huge x ahead of the last block exits cleanly
-        def replayed(n, huge_x):
+        # f_dk, the conservation check and the row scan, whose cell matrices
+        # are divided by max(x, 1), all stay finite for x near 1e300 and for
+        # subnormal x, in any cell of a block
+        def replayed(n, cells, value):
             cfg = small_config(n=n, t=4)
             x0, ycol, yref = lattice._boundary_arrays(cfg)
-            x0[huge_x] = ycol[:2] = 1e300
+            x0[cells] = value
+            ycol[:2] = 1e300
             path = tmp_path / f"boundary{n}.csv"
             lattice.save_boundary(path, x0, ycol, yref)
             return lattice.LatticeConfig(n, 4, P12, cfg.x_marginal, cfg.y_marginal,
                                          boundary=lattice.Replay(str(path)))
 
-        assert_matches_oracle(replayed(60, [0, 1, 30]))  # one block, no scan
-        for first_or_last_of_a_block in ([0], [63]):
-            with pytest.raises(DomainError, match="floating-point range"):
-                list(lattice.evolve(replayed(200, first_or_last_of_a_block)))
+        assert_matches_oracle(replayed(60, [0, 1, 30], 1e300))  # one block, no scan
+        for value in (1e300, 1e-310):
+            for first_or_last_of_a_block in ([0], [63]):
+                assert_matches_oracle(replayed(200, first_or_last_of_a_block, value))
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

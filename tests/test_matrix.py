@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,12 @@ class TestMgigDensity:
             assert matrix.mgig_log_pdf_unnorm(law, m + d) <= f0 + 1e-10
 
 
+def bartlett_draws(df, v, n, rng):
+    """n Wishart(df, v) draws, all at once, through the Bartlett helpers."""
+    variates = matrix._bartlett_variates(df, v.shape[0], n, rng)
+    return matrix._wishart_draws(np.linalg.cholesky(v), *variates)
+
+
 class TestNormalizer:
     @pytest.mark.parametrize("r", [1, 2, 3, 5])
     def test_bartlett_draws_match_scipy(self, r):
@@ -158,7 +165,7 @@ class TestNormalizer:
                 want_rng, got_rng = rng_stream(11, r), rng_stream(11, r)
                 want = stats.wishart.rvs(df=df, scale=v, size=n,
                                          random_state=want_rng)
-                got = matrix._wishart_draws(df, v, n, got_rng)
+                got = bartlett_draws(df, v, n, got_rng)
                 assert got.shape == (n, r, r)
                 assert np.array_equal(got, want.reshape(n, r, r))
                 assert got_rng.random() == want_rng.random()
@@ -169,7 +176,7 @@ class TestNormalizer:
         law = matrix.MgigParams(0.8, np.array([[2.0]]), np.array([[1.3]]))
         exact, _ = matrix.mgig_log_norm(law)
         df, v = matrix._wishart_proposal(law)
-        draws = matrix._wishart_draws(df, v, 200_000, rng_stream(17, 90_001))
+        draws = bartlett_draws(df, v, 200_000, rng_stream(17, 90_001))
         lw = (matrix.mgig_log_pdf_unnorm(law, draws)
               - matrix._wishart_log_pdf(df, v, draws, matrix._logdet_spd(draws)))
         m = lw.max()
@@ -183,6 +190,27 @@ class TestNormalizer:
         ln1, se1 = matrix.mgig_log_norm(law, seed=1, n=80_000)
         ln2, se2 = matrix.mgig_log_norm(law, seed=2, n=80_000)
         assert abs(ln1 - ln2) <= 3.0 * math.hypot(se1, se2)
+
+    @pytest.mark.parametrize("r,p,pair_seed,want", [
+        (2, 1.3, 9, (-0.7734063559004278, 0.0024171556772016878)),
+        (3, 2.2, 4, (3.6035974382676996, 0.0035338161771855904)),
+    ])
+    def test_pinned_estimate(self, r, p, pair_seed, want):
+        # recorded at aeafd57, when all n draws were built in one array; the
+        # blocks must not move a bit
+        law = matrix.MgigParams(p, *spd_pair(r, pair_seed))
+        assert matrix.mgig_log_norm(law, seed=5, n=400_000) == want
+
+    def test_memory_bounded(self):
+        # one (n, r, r) array per step once took a 35 MB peak at this size
+        law = matrix.MgigParams(1.3, *spd_pair(2, 9))
+        tracemalloc.start()
+        try:
+            matrix.mgig_log_norm(law, seed=5, n=400_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25_000_000
 
     def test_identity_rates_r2(self):
         law = matrix.MgigParams(3.0, np.eye(2), np.eye(2))
