@@ -1,11 +1,17 @@
 """Command-line entry point.
 
-One subcommand per module; every run resolves its parameters from (in
-order of precedence) explicit flags, the GIGKDV_SEED environment variable
-(seed only), a `--config` file of flat key=value lines, and built-in
-defaults, and then records the resolved values in the output header.
-Outputs carry no timestamps, so identical (binary, config, seed) runs are
-byte-identical.
+One subcommand per module.  Each subcommand declares its valued parameters
+once, in a table of `Param`s (see `_COMMANDS`): the key, the cast from text and
+the default.  The key is the name the output header records, the key of
+`--config` files and `--batch` lines, and, with '--' in front and '-' for
+'_', the flag (`lambda`, `--lambda`; `burn_in`, `--burn-in`).  Every key
+resolves by one precedence: a `--batch` line (`balance verify` only), the
+flag, the GIGKDV_SEED environment variable (seed only), a `--config` file of
+flat key=value lines, the default.  Every value given is cast and checked,
+also one that a source of higher precedence overrides, and a key that names
+no parameter of the subcommand is an error.  The output header records the
+resolved values.  Outputs carry no timestamps, so identical (binary,
+config, seed) runs are byte-identical.
 
 Exit status: 0 on success/pass, 1 when a verification battery fails,
 2 on usage or domain errors.  When the reader of standard output goes away
@@ -17,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,69 +31,105 @@ from . import __version__, balance, dist, lattice, maps, matrix, specfun
 from .errors import DomainError, IllConditionedError, NotSpdError
 
 SEED_ENV = "GIGKDV_SEED"
+_REQUIRED = object()  # the default of a parameter that has none
 
 
 class ConfigError(Exception):
     pass
 
 
-def load_config(path: str) -> dict:
-    """Flat key=value file; '#' starts a comment.  Returns raw strings."""
-    out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}:1: expected key=value, got {raw.rstrip()!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not key or not value:
-                raise ConfigError(f"{path}:{lineno}:1: empty key or value")
-            out[key] = value
-    return out
+class Param(NamedTuple):
+    key: str
+    cast: Callable  # text -> value; raises ValueError on bad text
+    default: object = _REQUIRED
+    help: str | None = None
 
 
-def _resolve(args, config: dict, name: str, cast, default):
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in config:
-        try:
-            return cast(config[name])
-        except ValueError as exc:
-            raise ConfigError(f"config key {name!r}: {exc}") from None
-    return default
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
-def _resolve_r(args, config: dict) -> int:
-    r = _resolve(args, config, "r", int, 2)
-    if r < 1:
-        raise DomainError(f"r must be >= 1, got {r}")
-    return r
-
-
-def _seed_value(value, source: str) -> int:
-    """`value` as a seed, i.e. an integer in [0, 2**64)."""
-    try:
-        seed = int(value)
-    except ValueError:
-        raise ConfigError(f"{source} must be an integer, got {value!r}") from None
+def _seed(text: str) -> int:
+    seed = int(text)
     if not 0 <= seed < 2**64:
-        raise ConfigError(f"{source} must lie in [0, 2**64), got {seed}")
+        raise ValueError(f"must lie in [0, 2**64), got {seed}")
     return seed
 
 
-def _resolve_seed(args, config: dict, default: int = 0) -> int:
-    if getattr(args, "seed", None) is not None:
-        return _seed_value(args.seed, "--seed")
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        return _seed_value(env, SEED_ENV)
-    if "seed" in config:
-        return _seed_value(config["seed"], "config key 'seed'")
-    return default
+def _dimension(text: str) -> int:
+    r = int(text)
+    if r < 1:
+        raise ValueError(f"must be >= 1, got {r}")
+    return r
+
+
+def _probes(text: str) -> str:
+    """Comma-separated integers, written as the header records them."""
+    return ",".join(str(int(v)) for v in text.split(","))
+
+
+def _entries(text: str) -> tuple:
+    """Row-major matrix entries, separated by ',' or ';'."""
+    return tuple(float(v) for v in text.replace(";", ",").split(",") if v.strip())
+
+
+def _cast(table, values: dict, where: Callable) -> dict:
+    """`values` ({key: text}) cast by the parameters of `table`; `where(key)`
+    names the source of a value in error messages."""
+    by_key = {prm.key: prm for prm in table}
+    out = {}
+    for key, text in values.items():
+        if key not in by_key:
+            raise ConfigError(f"{where(key)}: unknown key; the keys here are "
+                              f"{', '.join(sorted(by_key))}")
+        try:
+            out[key] = by_key[key].cast(text)
+        except ValueError as exc:
+            raise ConfigError(f"{where(key)}: {exc}") from None
+    return out
+
+
+def _lines(path):
+    """(line number, text) of each line of `path` that holds more than a
+    '#' comment, with the comment and the outer whitespace removed."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if line:
+                yield lineno, line
+
+
+def load_config(path: str) -> dict:
+    """Flat key=value file; '#' starts a comment.  Returns raw strings."""
+    out = {}
+    for lineno, line in _lines(path):
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}:1: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key or not value:
+            raise ConfigError(f"{path}:{lineno}:1: empty key or value")
+        out[key] = value
+    return out
+
+
+def resolve(args) -> dict:
+    """Every parameter of the subcommand's table, from its flag, GIGKDV_SEED
+    (seed only), the `--config` file or its default, in that order of
+    precedence."""
+    table = args.table
+    params = {prm.key: prm.default for prm in table}
+    if args.config:
+        params.update(_cast(table, load_config(args.config),
+                            lambda key: f"{args.config}: {key}"))
+    if SEED_ENV in os.environ:
+        params.update(_cast(table, {"seed": os.environ[SEED_ENV]}, lambda key: SEED_ENV))
+    flags = {prm.key: text for prm in table if (text := getattr(args, prm.key)) is not None}
+    params.update(_cast(table, flags, _flag))
+    missing = [_flag(key) for key, value in params.items() if value is _REQUIRED]
+    if missing:
+        args.parser.error(f"the following arguments are required: {', '.join(missing)}")
+    return params
 
 
 def _fmt(v) -> str:
@@ -132,23 +175,24 @@ def _battery_exit(rows) -> int:
     return 0 if all(bool(r[-1]) for r in rows) else 1
 
 
-def _parse_matrix(text: str, r: int, what: str) -> np.ndarray:
-    try:
-        vals = [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
-    except ValueError:
-        raise DomainError(f"{what} needs numbers, got {text!r}") from None
-    if len(vals) != r * r:
-        raise DomainError(f"{what} needs {r * r} row-major entries, got {len(vals)}")
-    return np.asarray(vals).reshape(r, r)
+def _square(entries, r: int, key: str) -> np.ndarray:
+    """Row-major `entries` as an r x r matrix; None gives the identity."""
+    if entries is None:
+        return np.eye(r)
+    if len(entries) != r * r:
+        raise DomainError(f"{key} needs {r * r} row-major entries, got {len(entries)}")
+    return np.asarray(entries).reshape(r, r)
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each takes the resolved seed, the other
+# resolved parameters (the header's, unless it says otherwise), the parsed
+# flags and the output stream
 # ---------------------------------------------------------------------------
 
-def _cmd_specfun_check(args, config, out):
+def _cmd_specfun_check(seed, params, args, out):
     rows = specfun.check_table()
-    write_csv(out, "specfun-check", 0, {},
+    write_csv(out, "specfun-check", seed, params,
               ("test", "nu", "z", "statistic", "threshold", "pass"), rows)
     return _battery_exit(rows)
 
@@ -163,190 +207,123 @@ def _law_from_args(kind, lam, a, b):
     raise DomainError(f"unknown law {kind!r}")
 
 
-def _cmd_dist_sample(args, config, out):
-    seed = _resolve_seed(args, config)
-    lam = _resolve(args, config, "lam", float, 0.5)
-    a = _resolve(args, config, "a", float, 1.0)
-    b = _resolve(args, config, "b", float, 1.0)
-    n = _resolve(args, config, "n", int, 1000)
-    law = _law_from_args(args.law, lam, a, b)
-    values = dist.sample(law, seed, n)
-    params = {"law": args.law, "lambda": lam, "a": a, "b": b, "n": n}
+def _cmd_dist_sample(seed, params, args, out):
+    law = _law_from_args(params["law"], params["lambda"], params["a"], params["b"])
+    values = dist.sample(law, seed, params["n"])
     write_csv(out, "dist-sample", seed, params, ("value",),
               ((v,) for v in values))
     return 0
 
 
-def _cmd_dist_check(args, config, out):
-    seed = _resolve_seed(args, config, default=20260809)
+def _cmd_dist_check(seed, params, args, out):
     rows = dist.check_battery(seed)
-    write_csv(out, "dist-check", seed, {},
+    write_csv(out, "dist-check", seed, params,
               ("test", "statistic", "threshold", "pass"), rows)
     return _battery_exit(rows)
 
 
-def _cmd_map_eval(args, config, out):
-    p = maps.MapParams(args.alpha, args.beta)
+def _cmd_map_eval(seed, params, args, out):
     fn = maps.psi if args.psi else maps.f_dk
-    u, v = fn(p, (args.x, args.y))
-    params = {"alpha": args.alpha, "beta": args.beta, "x": args.x, "y": args.y,
-              "psi": args.psi}
-    out.write(_header("map-eval", 0, params) + "\n")
+    u, v = fn(maps.MapParams(params["alpha"], params["beta"]), (params["x"], params["y"]))
+    out.write(_header("map-eval", seed, {**params, "psi": args.psi}) + "\n")
     out.write(f"{u!r},{v!r}\n")
     return 0
 
 
-def _cmd_map_check(args, config, out):
-    seed = _resolve_seed(args, config, default=20260809)
+def _cmd_map_check(seed, params, args, out):
     rows = maps.check_battery(seed)
-    write_csv(out, "map-check", seed, {},
+    write_csv(out, "map-check", seed, params,
               ("test", "statistic", "threshold", "pass"), rows)
     return _battery_exit(rows)
 
 
-def _cmd_matrix_check(args, config, out):
-    seed = _resolve_seed(args, config)
-    r = _resolve_r(args, config)
-    alpha = _resolve(args, config, "alpha", float, 1.0)
-    beta = _resolve(args, config, "beta", float, 2.0)
-    rows = matrix.prop51_battery(r, alpha, beta, seed)
-    write_csv(out, "matrix-check", seed,
-              {"r": r, "alpha": alpha, "beta": beta},
+def _cmd_matrix_check(seed, params, args, out):
+    rows = matrix.prop51_battery(params["r"], params["alpha"], params["beta"], seed)
+    write_csv(out, "matrix-check", seed, params,
               ("test", "statistic", "threshold", "pass"), rows)
     return _battery_exit(rows)
 
 
-def _cmd_matrix_sample(args, config, out):
-    seed = _resolve_seed(args, config)
-    r = _resolve_r(args, config)
-    p = _resolve(args, config, "p", float, 1.5)
-    n = _resolve(args, config, "n", int, 1000)
-    burn_in = _resolve(args, config, "burn_in", int, 3000)
-    thin = _resolve(args, config, "thin", int, 10)
-    a = _parse_matrix(args.a, r, "--a") if args.a else np.eye(r)
-    b = _parse_matrix(args.b, r, "--b") if args.b else np.eye(r)
-    law = matrix.MgigParams(p, a, b)
-    cfg = matrix.McmcConfig(burn_in=burn_in, thin=thin)
-    run = matrix.mgig_sample(law, seed, n, mcmc=cfg)
-    params = {"r": r, "p": p, "a": a, "b": b, "n": n,
-              "burn_in": burn_in, "thin": thin,
-              "acceptance_rate": run.acceptance_rate,
-              "mcmc_ok": run.ok}
+def _cmd_matrix_sample(seed, params, args, out):
+    r = params["r"]
+    a, b = _square(params["a"], r, "a"), _square(params["b"], r, "b")
+    law = matrix.MgigParams(params["p"], a, b)
+    cfg = matrix.McmcConfig(burn_in=params["burn_in"], thin=params["thin"])
+    run = matrix.mgig_sample(law, seed, params["n"], mcmc=cfg)
+    params.update(a=a, b=b, acceptance_rate=run.acceptance_rate, mcmc_ok=run.ok)
     write_csv(out, "matrix-sample", seed, params,
               tuple(f"m{i}{j}" for i in range(r) for j in range(r)),
               (tuple(m.ravel()) for m in run.draws))
     return 0 if run.ok else 1
 
 
-def _balance_spec_from(args, config):
-    alpha = _resolve(args, config, "alpha", float, 1.0)
-    beta = _resolve(args, config, "beta", float, 2.0)
-    lam = _resolve(args, config, "lam", float, 0.5)
-    c1 = _resolve(args, config, "c1", float, 1.0)
-    c2 = _resolve(args, config, "c2", float, 1.0)
-    variant = getattr(args, "variant", "psi") or "psi"
-    if variant == "matrix":
-        r = _resolve_r(args, config)
-        a = _parse_matrix(args.a, r, "--a") if getattr(args, "a", None) else np.eye(r)
-        b = _parse_matrix(args.b, r, "--b") if getattr(args, "b", None) else np.eye(r)
-        return balance.BalanceSpec(maps.MapParams(alpha, beta), lam=lam,
-                                   variant="matrix", a=a, b=b)
-    return balance.BalanceSpec(maps.MapParams(alpha, beta), lam=lam,
-                               c1=c1, c2=c2, variant=variant)
+def _balance_spec(params):
+    map_params = maps.MapParams(params["alpha"], params["beta"])
+    if params["variant"] == "matrix":
+        r = params["r"]
+        return balance.BalanceSpec(map_params, params["lambda"], variant="matrix",
+                                   a=_square(params["a"], r, "a"),
+                                   b=_square(params["b"], r, "b"))
+    return balance.BalanceSpec(map_params, params["lambda"], params["c1"],
+                               params["c2"], params["variant"])
 
 
-def _parse_batch(path):
-    # one spec per nonempty line, flat key=value tokens
-    specs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            entry = {}
-            for token in line.split():
-                if "=" not in token:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value tokens")
-                key, _, value = token.partition("=")
-                entry[key] = value
-            specs.append(entry)
-    return specs
+def _parse_batch(path, table, params):
+    """One run's parameters per nonempty line of `path`, a line's key=value
+    tokens overriding `params`."""
+    runs = []
+    for lineno, line in _lines(path):
+        entry = {}
+        for token in line.split():
+            if "=" not in token:
+                raise ConfigError(f"{path}:{lineno}: expected key=value tokens")
+            key, _, value = token.partition("=")
+            entry[key] = value
+        runs.append({**params, **_cast(table, entry, lambda key: f"{path}:{lineno}: {key}")})
+    return runs
 
 
-def _cmd_balance_verify(args, config, out):
-    seed = _resolve_seed(args, config, default=7)
+def _cmd_balance_verify(seed, params, args, out):
     if args.batch:
-        reports = []
-        status = 0
-        for entry in _parse_batch(args.batch):
-            merged = dict(config)
-            merged.update(entry)
-            batch_args = argparse.Namespace(
-                **{**vars(args),
-                   "variant": entry.get("variant", args.variant),
-                   "alpha": None, "beta": None, "c1": None, "c2": None,
-                   "lam": None, "n": None, "r": None,
-                   "a": entry.get("a"), "b": entry.get("b")})
-            spec = _balance_spec_from(batch_args, merged)
-            n = _resolve(batch_args, merged, "n", int, 100_000)
-            entry_seed = (_seed_value(entry["seed"], "batch seed")
-                          if "seed" in entry else seed)
-            rep = balance.monte_carlo_balance(spec, entry_seed, n)
-            reports.append(rep.to_dict())
-            status = max(status, 0 if rep.passed else 1)
+        # every line is checked before the first verdict runs
+        runs = [(_balance_spec(run), run["seed"], run["n"]) for run in
+                _parse_batch(args.batch, args.table, {**params, "seed": seed})]
+        reports = [balance.monte_carlo_balance(*run) for run in runs]
         write_json(out, "balance-verify-batch", seed,
                    {"batch": args.batch, "count": len(reports)},
-                   {"reports": reports})
-        return status
-    n = _resolve(args, config, "n", int, 100_000)
-    spec = _balance_spec_from(args, config)
-    report = balance.monte_carlo_balance(spec, seed, n)
-    write_json(out, "balance-verify", seed, spec_params(spec, n),
+                   {"reports": [rep.to_dict() for rep in reports]})
+        return 0 if all(rep.passed for rep in reports) else 1
+    spec = _balance_spec(params)
+    report = balance.monte_carlo_balance(spec, seed, params["n"])
+    # the spec's a and b, symmetrized, stand for the given ones
+    write_json(out, "balance-verify", seed,
+               {"variant": spec.variant, "n": params["n"], **balance.spec_params(spec)},
                report.to_dict())
     return 0 if report.passed else 1
 
 
-def spec_params(spec, n):
-    return {"variant": spec.variant, "n": n, **balance.spec_params(spec)}
-
-
-def _cmd_balance_machinery(args, config, out):
-    seed = _resolve_seed(args, config, default=7)
-    n = _resolve(args, config, "n", int, 200_000)
-    s = _resolve(args, config, "s", float, 0.7)
-    sigma = _resolve(args, config, "sigma", float, -1.0)
-    theta = _resolve(args, config, "theta", float, -0.5)
-    spec = _balance_spec_from(args, config)
-    if spec.variant != "psi":
-        raise DomainError("balance machinery runs on the psi variant")
-    res = balance.machinery_check(spec, s, sigma, theta, seed, n)
-    params = spec_params(spec, n)
-    params.update(s=s, sigma=sigma, theta=theta)
+def _cmd_balance_machinery(seed, params, args, out):
+    params["variant"] = "psi"
+    res = balance.machinery_check(_balance_spec(params), params["s"], params["sigma"],
+                                  params["theta"], seed, params["n"])
     write_csv(out, "balance-machinery", seed, params,
               ("test", "statistic", "threshold", "pass"), res.rows())
     return 0 if res.passed else 1
 
 
-def _lattice_config_from(args, config, seed):
-    n = _resolve(args, config, "n", int, 1000)
-    t = _resolve(args, config, "t", int, 20)
-    alpha = _resolve(args, config, "alpha", float, 1.0)
-    beta = _resolve(args, config, "beta", float, 2.0)
-    lam = _resolve(args, config, "lam", float, 0.5)
-    c = _resolve(args, config, "c", float, 1.0)
-    c2 = _resolve(args, config, "c2", float, c)
+def _lattice_config(seed, params, args):
+    """The lattice of `params`, whose c2 it fills in."""
+    if params["c2"] is None:
+        params["c2"] = params["c"]
     boundary = lattice.Replay(args.replay) if args.replay else None
-    cfg = lattice.stationary_config(maps.MapParams(alpha, beta), lam, c, c2,
-                                    n_sites=n, horizon=t, seed=seed,
-                                    boundary=boundary)
-    params = {"n": n, "t": t, "alpha": alpha, "beta": beta, "lambda": lam,
-              "c": c, "c2": c2}
-    return cfg, params
+    return lattice.stationary_config(
+        maps.MapParams(params["alpha"], params["beta"]), params["lambda"],
+        params["c"], params["c2"], n_sites=params["n"], horizon=params["t"],
+        seed=seed, boundary=boundary)
 
 
-def _cmd_lattice_run(args, config, out):
-    seed = _resolve_seed(args, config)
-    cfg, params = _lattice_config_from(args, config, seed)
+def _cmd_lattice_run(seed, params, args, out):
+    cfg = _lattice_config(seed, params, args)
     out.write(_header("lattice-run", seed, params) + "\n")
     out.write("t,n,x,y\n")
     for frame in lattice.evolve(cfg):
@@ -356,145 +333,105 @@ def _cmd_lattice_run(args, config, out):
     return 0
 
 
-def _cmd_lattice_stationarity(args, config, out):
-    seed = _resolve_seed(args, config)
-    cfg, params = _lattice_config_from(args, config, seed)
-    text = args.probes or "10,25,50"
-    try:
-        probes = [int(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(
-            f"--probes must be comma-separated integers, got {text!r}") from None
-    report = lattice.stationarity_report(cfg, probes)
-    params["probes"] = ",".join(str(p) for p in probes)
+def _cmd_lattice_stationarity(seed, params, args, out):
+    cfg = _lattice_config(seed, params, args)
+    report = lattice.stationarity_report(cfg, params["probes"].split(","))
     write_json(out, "lattice-stationarity", seed, params, report.to_dict())
     return 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
-# argument tree
+# parameter tables and the argument tree
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--config", help="flat key=value parameter file")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out", default="-", help="output path, '-' for stdout")
+_SEED = Param("seed", _seed, 0)
+_BATTERY_SEED = Param("seed", _seed, 20260809)
+_BALANCE_SEED = Param("seed", _seed, 7)
+_ALPHA = Param("alpha", float, 1.0)
+_BETA = Param("beta", float, 2.0)
+_LAMBDA = Param("lambda", float, 0.5)
+_C1, _C2 = Param("c1", float, 1.0), Param("c2", float, 1.0)
+_N = Param("n", int, 1000)
+_R = Param("r", _dimension, 2)
+_A = Param("a", _entries, None, "row-major entries of a (comma separated); "
+           "default the identity")
+_B = Param("b", _entries, None, "row-major entries of b; default the identity")
+_LATTICE = (_N, Param("t", int, 20), _ALPHA, _BETA, _LAMBDA,
+            Param("c", float, 1.0), Param("c2", float, None, "default c"), _SEED)
+_REPLAY = (("--replay", {"help": "boundary file to replay"}),)
+
+# (module, action, help, handler, parameter table, flag-only arguments)
+_COMMANDS = (
+    ("specfun", "check", "Bessel residual battery as CSV", _cmd_specfun_check,
+     (_SEED,), ()),
+    ("dist", "sample", "draw i.i.d. variates", _cmd_dist_sample,
+     (Param("law", str, "gig", "gig, gamma or invgamma"), _LAMBDA,
+      Param("a", float, 1.0), Param("b", float, 1.0), _N, _SEED), ()),
+    ("dist", "check", "distribution invariant battery", _cmd_dist_check,
+     (_BATTERY_SEED,), ()),
+    ("map", "eval", "apply the cell map to one point", _cmd_map_eval,
+     (*(Param(key, float) for key in ("alpha", "beta", "x", "y")), _SEED),
+     (("--psi", {"action": "store_true", "help": "use the conjugated map"}),)),
+    ("map", "check", "identity/Jacobian battery", _cmd_map_check,
+     (_BATTERY_SEED,), ()),
+    ("matrix", "check", "involution/Jacobian battery at dimension r",
+     _cmd_matrix_check, (_R, _ALPHA, _BETA, _SEED), ()),
+    ("matrix", "sample", "MGIG MCMC draws, one row-major matrix per line",
+     _cmd_matrix_sample,
+     (_R, Param("p", float, 1.5), _A, _B, _N,
+      Param("burn_in", int, matrix.McmcConfig.burn_in),
+      Param("thin", int, matrix.McmcConfig.thin), _SEED), ()),
+    ("balance", "verify", "Monte-Carlo detailed-balance report (JSON)",
+     _cmd_balance_verify,
+     (Param("variant", str, "fdk", "fdk, psi or matrix"), _ALPHA, _BETA, _C1, _C2,
+      _LAMBDA, Param("n", int, 100_000), _R, _A, _B, _BALANCE_SEED),
+     (("--batch", {"help": "file with one spec per line (key=value tokens)"}),)),
+    ("balance", "machinery", "tilted-transform identity residuals (CSV)",
+     _cmd_balance_machinery,
+     (_ALPHA, _BETA, _C1, _C2, _LAMBDA, Param("s", float, 0.7),
+      Param("sigma", float, -1.0), Param("theta", float, -0.5),
+      Param("n", int, 200_000), _BALANCE_SEED), ()),
+    ("lattice", "run", "evolve the lattice; CSV rows t,n,x,y", _cmd_lattice_run,
+     _LATTICE, _REPLAY),
+    ("lattice", "stationarity", "KS stationarity report (JSON)",
+     _cmd_lattice_stationarity,
+     (*_LATTICE, Param("probes", _probes, "10,25,50", "comma-separated probe times")),
+     _REPLAY),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gigkdv", description=__doc__)
     ap.add_argument("--version", action="version", version=f"gigkdv {__version__}")
     top = ap.add_subparsers(dest="module", required=True)
-
-    g = top.add_parser("specfun").add_subparsers(dest="action", required=True)
-    sp = g.add_parser("check", help="Bessel residual battery as CSV")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_specfun_check)
-
-    g = top.add_parser("dist").add_subparsers(dest="action", required=True)
-    sp = g.add_parser("sample", help="draw i.i.d. variates")
-    sp.add_argument("--law", choices=("gig", "gamma", "invgamma"), default="gig")
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--a", type=float)
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--n", type=int)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_dist_sample)
-    sp = g.add_parser("check", help="distribution invariant battery")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_dist_check)
-
-    g = top.add_parser("map").add_subparsers(dest="action", required=True)
-    sp = g.add_parser("eval", help="apply the cell map to one point")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--x", type=float, required=True)
-    sp.add_argument("--y", type=float, required=True)
-    sp.add_argument("--psi", action="store_true", help="use the conjugated map")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_map_eval)
-    sp = g.add_parser("check", help="identity/Jacobian battery")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_map_check)
-
-    g = top.add_parser("matrix").add_subparsers(dest="action", required=True)
-    sp = g.add_parser("check", help="involution/Jacobian battery at dimension r")
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_matrix_check)
-    sp = g.add_parser("sample", help="MGIG MCMC draws, one row-major matrix per line")
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--a", help="row-major entries of a (comma separated)")
-    sp.add_argument("--b", help="row-major entries of b")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--burn-in", dest="burn_in", type=int)
-    sp.add_argument("--thin", type=int)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_matrix_sample)
-
-    g = top.add_parser("balance").add_subparsers(dest="action", required=True)
-    sp = g.add_parser("verify", help="Monte-Carlo detailed-balance report (JSON)")
-    sp.add_argument("--variant", choices=("fdk", "psi", "matrix"), default="fdk")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--c1", type=float)
-    sp.add_argument("--c2", type=float)
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--r", type=int)
-    sp.add_argument("--a")
-    sp.add_argument("--b")
-    sp.add_argument("--batch", help="file with one spec per line (key=value tokens)")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_balance_verify)
-    sp = g.add_parser("machinery", help="tilted-transform identity residuals (CSV)")
-    sp.add_argument("--alpha", type=float)
-    sp.add_argument("--beta", type=float)
-    sp.add_argument("--c1", type=float)
-    sp.add_argument("--c2", type=float)
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--sigma", type=float)
-    sp.add_argument("--theta", type=float)
-    sp.add_argument("--n", type=int)
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_balance_machinery, variant="psi")
-
-    g = top.add_parser("lattice").add_subparsers(dest="action", required=True)
-    sp = g.add_parser("run", help="evolve the lattice; CSV rows t,n,x,y")
-    for flag, typ in (("--n", int), ("--t", int), ("--alpha", float),
-                      ("--beta", float), ("--c", float), ("--c2", float)):
-        sp.add_argument(flag, type=typ)
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--replay", help="boundary file to replay")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_lattice_run)
-    sp = g.add_parser("stationarity", help="KS stationarity report (JSON)")
-    for flag, typ in (("--n", int), ("--t", int), ("--alpha", float),
-                      ("--beta", float), ("--c", float), ("--c2", float)):
-        sp.add_argument(flag, type=typ)
-    sp.add_argument("--lambda", dest="lam", type=float)
-    sp.add_argument("--probes", help="comma-separated probe times")
-    sp.add_argument("--replay")
-    _add_common(sp)
-    sp.set_defaults(fn=_cmd_lattice_stationarity)
+    modules = {}
+    for module, action, text, fn, table, flag_only in _COMMANDS:
+        if module not in modules:
+            modules[module] = top.add_parser(module).add_subparsers(
+                dest="action", required=True)
+        sp = modules[module].add_parser(action, help=text)
+        for prm in table:
+            sp.add_argument(_flag(prm.key), help=prm.help or (
+                "required" if prm.default is _REQUIRED else f"default {prm.default}"))
+        for flag, kwargs in flag_only:
+            sp.add_argument(flag, **kwargs)
+        sp.add_argument("--config", help="flat key=value parameter file")
+        sp.add_argument("--out", default="-", help="output path, '-' for stdout")
+        sp.set_defaults(fn=fn, table=table, parser=sp)
     return ap
 
 
 def dispatch(argv=None) -> int:
     """Run one subcommand; returns the process exit status."""
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else {}
+        params = resolve(args)
+        seed = params.pop("seed")
         # like a shell redirection, --out is created before the work starts
         if args.out == "-":
-            return args.fn(args, config, sys.stdout)
+            return args.fn(seed, params, args, sys.stdout)
         with open(args.out, "w") as out:
-            return args.fn(args, config, out)
+            return args.fn(seed, params, args, out)
     except BrokenPipeError:
         raise  # `main` ends quietly when the reader of stdout goes away
     except (DomainError, NotSpdError, IllConditionedError, ConfigError,

@@ -212,9 +212,12 @@ def _row(config: LatticeConfig, x_prev: np.ndarray, y_entry: float, t: int):
     entry = carrier = np.array(entry)
     u, v = np.empty_like(xb), np.empty_like(xb)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(_BLOCK):
-            u[:, k], carrier = f_dk(config.map, (xb[:, k], carrier))
-            v[:, k] = carrier
+        try:
+            for k in range(_BLOCK):
+                u[:, k], carrier = f_dk(config.map, (xb[:, k], carrier))
+                v[:, k] = carrier
+        except DomainError:  # the cells' x are in range, so a carrier left it
+            raise _out_of_range(t) from None
     x, y = u.ravel()[:n], v.ravel()[:n]
     # with alpha or beta = 0 the values themselves can grow past the range
     if not (min(x.min(), y.min()) > 0.0 and max(x.max(), y.max()) < np.inf):

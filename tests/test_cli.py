@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,18 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout == "False\n"
+
+
+def test_readme_examples_parse():
+    # the README's examples keep to the flags that the parameter tables declare
+    readme = Path(cli.__file__).parents[2] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    assert len(commands) >= 11 and all(argv[0] == "gigkdv" for argv in commands)
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])
 
 
 class TestMapEval:
@@ -105,6 +119,16 @@ class TestConfig:
         run(["dist", "sample", "--config", str(cfg), "--seed", "9"])
         assert "seed=9" in capsys.readouterr().out.splitlines()[0]
 
+    def test_config_sets_matrix_and_probe_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("r=2\na=2,0.5,0.5,1\nb=1;0;0;3\nn=40\nburn_in=20\nthin=1\n")
+        run(["matrix", "sample", "--config", str(cfg), "--seed", "3"])
+        header = capsys.readouterr().out.splitlines()[0]
+        assert "a=[2.0;0.5;0.5;1.0]" in header and "b=[1.0;0.0;0.0;3.0]" in header
+        cfg.write_text("probes=2, 4\nn=50\nt=4\n")
+        assert run(["lattice", "stationarity", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["probes"] == "2,4"
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("alpha=1\noops\n")
@@ -171,7 +195,29 @@ class TestBalanceVerify:
         assert run(["balance", "verify", "--batch", str(batch),
                     "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert len(doc["report"]["reports"]) == 5
+        assert [rep["params"]["lambda"] for rep in doc["report"]["reports"]
+                ] == [0.5, -0.5, 0.5, 0.8, 2.0]
+
+    def test_batch_line_then_flag_then_config(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        batch = tmp_path / "batch.txt"
+        batch.write_text("variant=fdk lambda=0.8 n=1000\nvariant=fdk n=1000\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lambda=0.1\nalpha=0.5\nbeta=3\n")
+        out = tmp_path / "batch.json"
+        assert run(["balance", "verify", "--batch", str(batch), "--config", str(cfg),
+                    "--lambda", "0.3", "--alpha", "2", "--out", str(out)]) in (0, 1)
+        params = [rep["params"] for rep in json.loads(out.read_text())["report"]["reports"]]
+        assert [(p["lambda"], p["alpha"], p["beta"]) for p in params] == [
+            (0.8, 2.0, 3.0), (0.3, 2.0, 3.0)]
+
+    def test_config_lambda_is_recorded(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lambda=0.8\nn=2000\n")
+        out = tmp_path / "rep.json"
+        assert run(["balance", "verify", "--config", str(cfg), "--seed", "6",
+                    "--out", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["params"]["lambda"] == 0.8
 
     def test_batch_seed_flag_beats_config(self, tmp_path, monkeypatch):
         # an entry without a seed of its own runs at the resolved seed,
@@ -281,6 +327,22 @@ def _batch_seed(tmp_path):
     return ["balance", "verify", "--batch", str(path)]
 
 
+def _batch_line(tokens):
+    def argv(tmp_path):
+        path = tmp_path / "batch.txt"
+        path.write_text(f"variant=fdk n=1000\nvariant=fdk {tokens} n=1000\n")
+        return ["balance", "verify", "--batch", str(path)]
+    return argv
+
+
+def _config_key(line, base=LATTICE):
+    def argv(tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"seed=3\n{line}\n")
+        return base + ["--config", str(path)]
+    return argv
+
+
 def _out_dir(tmp_path):
     return ["dist", "sample", "--n", "3", "--out", str(tmp_path)]
 
@@ -352,6 +414,30 @@ class TestBadInput:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,key", [
+        (_batch_line("lam=0.8"), "lam"),
+        (_batch_line("alpah=3"), "alpah"),
+        (_config_key("alpah=3"), "alpah"),
+        (_config_key("probes=2,4", ["dist", "sample", "--n", "3"]), "probes"),
+    ], ids=["batch-lam", "batch-alpah", "config-alpah", "config-other-command"])
+    def test_unknown_key_is_named(self, argv, key, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        assert run(argv(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
+        assert f" {key}: unknown key" in err
+
+    def test_tiny_replay_value_leaves_the_range(self, tmp_path, capsys, monkeypatch):
+        # past x0 = 5e-324 a carrier underflows to 0: the row leaves the
+        # floating-point range, while every boundary value is valid
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        x0 = [1.0] * 200
+        x0[63] = 5e-324
+        assert run(_replay(tmp_path, x0, [1.0] * 4, [1.0] * 200)) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("gigkdv: error: row 1 leaves the floating-point range")
 
     @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
     def test_scaled_rate_names_its_flag(self, flag, capsys, monkeypatch):

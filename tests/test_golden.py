@@ -3,7 +3,9 @@ one run per command, recorded at commit 6968dbe.
 
 A change that is meant to keep every report byte-identical must leave these
 unchanged.  A change that alters a report on purpose declares it and records
-the new hash here.
+the new hash here.  Commands that read a file name it by a path relative to
+the run's directory, which holds FILES, so a report that records the path
+is the same wherever the tests run.
 """
 
 import hashlib
@@ -38,13 +40,44 @@ GOLDEN = [
      "c036420e36efdf759eb9dc921da6ec920086f8ac398cb8a92dc1f0dbc26e3712"),
     ("specfun check --seed 0", 0,
      "02c59c9717bf556c01d36c800e735fbe1185a9d8cf04fdc026a2792c9d5cada1"),
+    # recorded at 21d2d9d, before the CLI's parameter table
+    ("dist sample --n 100 --seed 3", 0,
+     "d3ea8809e004ad65ae40405c792b0f51c6baf0f21a43aab6ecb077082f925ad8"),
+    ("dist sample --law invgamma --lambda 1.5 --b 2 --n 50 --seed 5", 0,
+     "b4233fe7865c0b1509e9508b025e561a0e20ffb34cee55f536e5736b06868847"),
+    # 5 draws per chain are too few for R-hat, so the run exits 1
+    ("matrix sample --r 2 --n 40 --burn-in 20 --thin 1 --seed 3", 1,
+     "69197ae60bf11a2ba5529e8f4210bd5d7c390de93e433938faa54a91bc24cbc0"),
+    ("map eval --alpha 1 --beta 2 --x 1 --y 1", 0,
+     "89976df1c07f71cc4085fb43d19f1005f01612710103a2303e5b583d8c622018"),
+    ("map eval --alpha 2 --beta 0.5 --x 0.3 --y 4 --psi", 0,
+     "b2d25f196d92221176f7088ad0c98c77901f64d027502c652436d53233a982d4"),
+    ("lattice stationarity --n 2000 --t 10 --c 1 --c2 2 --probes 5,10 --seed 9", 0,
+     "8aa8943d9bc11104a52783e29868ac9a1817afef4a8aa5b09ee4dab018be1ab2"),
+    ("balance verify --batch specs.txt --seed 7", 0,
+     "c3943ed1cbe6a6cb156f128f2a8e16e766ebaefe728e581111029284e6024169"),
+    ("lattice run --t 3 --config run.cfg", 0,
+     "6b1cdc20f2fe4aee52b109f4739cfe6e527d5f5b706e941eeb793ea9152d52e2"),
 ]
+
+FILES = {
+    # the lines give no lambda, and the second no seed
+    "specs.txt": "variant=fdk alpha=1 beta=2 c1=1 c2=1 n=2000 seed=3\n"
+                 "variant=psi alpha=1 beta=0 c1=1 c2=2 n=2000\n"
+                 "# a comment line\n"
+                 "variant=fdk alpha=0.5 beta=3 c1=1 c2=3 n=2000 seed=4\n",
+    "run.cfg": "seed=3\nn=20\nalpha=2\nbeta=1\n",
+}
 
 
 @pytest.mark.parametrize("command,status,digest", GOLDEN,
                          ids=[command for command, _, _ in GOLDEN])
-def test_report_bytes_unchanged(command, status, digest, capsys, monkeypatch):
+def test_report_bytes_unchanged(command, status, digest, capsys, monkeypatch,
+                                tmp_path):
     monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
     assert cli.dispatch(command.split()) == status
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
