@@ -53,7 +53,6 @@ __all__ = [
     "distance_correlation_test",
     "monte_carlo_balance",
     "machinery_check",
-    "independence_calibration",
 ]
 
 
@@ -362,25 +361,6 @@ def distance_correlation_test(u: np.ndarray, v: np.ndarray,
     return obs, (1.0 + hits) / (n_perm + 1.0)
 
 
-def independence_calibration(seed: int = 0, reps: int = 100, m: int = 400,
-                             n_perm: int = 199) -> int:
-    """Permutation p-value calibration under a known-independent null.
-
-    Draws `reps` independent GIG pairs and counts p <= 0.01; super-uniform
-    calibration means the count stays near reps/100.
-    """
-    law = dist.GigParams(0.5, 1.0, 1.0)
-    hits = 0
-    for k in range(reps):
-        rng = rng_stream(seed, 61_000 + k)
-        u = dist.draw(law, rng, m)
-        v = dist.draw(law, rng, m)
-        _, p = distance_correlation_test(u, v, n_perm=n_perm, rng=rng)
-        if p <= 0.01:
-            hits += 1
-    return hits
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo balance reports
 # ---------------------------------------------------------------------------
@@ -465,20 +445,7 @@ def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
         res = stats.kstest(data, lambda q: dist.cdf(law, q))
         ks[name] = KsStat(float(res.statistic), float(res.pvalue), n)
 
-    sub = rng_stream(seed, 3).choice(n, size=min(_DCOR_M, n), replace=False)
-    stat, p = distance_correlation_test(us[sub], vs[sub], n_perm=_N_PERM,
-                                        rng=rng_stream(seed, 4))
-    ind = IndependenceStat(float(stat), float(p), len(sub), _N_PERM)
-
-    resid = transport_grid_max(spec)
-    flags = {f"ks_{name}": ks[name].p_value > _P_THRESHOLD for name in ks}
-    flags["independence"] = ind.p_value > _P_THRESHOLD
-    flags["transport"] = resid <= 1e-9
-    report = BalanceReport(
-        variant=spec.variant, params=spec_params(spec), seed=seed, n=n,
-        max_log_residual=resid, residual_tol=1e-9, ks_stats=ks,
-        independence=ind, pass_flags=flags, passed=all(flags.values()))
-    return report
+    return _verdict(spec, seed, n, ks, (us, vs), 1, transport_grid_max(spec), 1e-9)
 
 
 def _ess_stride(series: np.ndarray) -> int:
@@ -518,27 +485,36 @@ def _matrix_balance(spec, seed, n, mcmc):
             ks[f"{key}_{fname}"] = KsStat(float(res.statistic),
                                           float(res.pvalue), len(sm))
 
-    pool = np.arange(0, len(us), max_stride)
-    sub = rng_stream(seed, 3).choice(pool, size=min(_DCOR_M, len(pool)),
-                                     replace=False)
-    stat, p = distance_correlation_test(
-        matrix.sym_to_vec(us[sub]), matrix.sym_to_vec(vs[sub]),
-        n_perm=_N_PERM, rng=rng_stream(seed, 4))
-    ind = IndependenceStat(float(stat), float(p), len(sub), _N_PERM)
-
     norm = matrix_normalizers(spec, seed, n=400_000)
     resid = transport_grid_max(spec, grid_n=5, normalizers=norm, seed=seed)
-    tol = max(3.0 * norm.se, 1e-9)
+    return _verdict(spec, seed, n, ks,
+                    (matrix.sym_to_vec(us), matrix.sym_to_vec(vs)), max_stride,
+                    resid, max(3.0 * norm.se, 1e-9), runs)
 
-    mcmc_diag = {k: runs[k].diagnostics_dict() for k in runs}
+
+def _verdict(spec, seed, n, ks, pair, stride, resid, tol, runs=None):
+    """The BalanceReport of one verdict: `ks` holds its KS tests, `pair` the
+    mapped samples, `resid` the transport residual, gated at `tol`, and
+    `runs` the MGIG sampler runs of the matrix variant.  The independence
+    test takes a seeded subsample of _DCOR_M rows among every `stride`-th
+    row of `pair`."""
+    pool = np.arange(0, len(pair[0]), stride)
+    sub = rng_stream(seed, 3).choice(pool, size=min(_DCOR_M, len(pool)),
+                                     replace=False)
+    stat, p = distance_correlation_test(pair[0][sub], pair[1][sub],
+                                        n_perm=_N_PERM, rng=rng_stream(seed, 4))
+    ind = IndependenceStat(float(stat), float(p), len(sub), _N_PERM)
     flags = {f"ks_{k}": ks[k].p_value > _P_THRESHOLD for k in ks}
     flags["independence"] = ind.p_value > _P_THRESHOLD
     flags["transport"] = resid <= tol
-    flags["mcmc_ok"] = all(runs[k].ok for k in runs)
+    mcmc = None
+    if runs is not None:
+        flags["mcmc_ok"] = all(run.ok for run in runs.values())
+        mcmc = {k: run.diagnostics_dict() for k, run in runs.items()}
     return BalanceReport(
-        variant="matrix", params=spec_params(spec), seed=seed, n=n,
+        variant=spec.variant, params=spec_params(spec), seed=seed, n=n,
         max_log_residual=resid, residual_tol=tol, ks_stats=ks,
-        independence=ind, pass_flags=flags, mcmc=mcmc_diag,
+        independence=ind, pass_flags=flags, mcmc=mcmc,
         passed=all(flags.values()))
 
 
@@ -558,15 +534,18 @@ class MachineryResult:
     product_dev_se: float       # |lhs - rhs| in combined-SE units
     y_form_rel: float           # closed Bessel form vs transform ratio, y_s
     v_form_rel: float           # same for v_s
-    pass_flags: dict = field(default_factory=dict)
-    passed: bool = False
 
     def rows(self):
+        """(test, statistic, threshold, pass) per identity."""
         return [
             ("product_dev_se", self.product_dev_se, 4.0, self.product_dev_se <= 4.0),
             ("y_closed_form_rel", self.y_form_rel, 1e-8, self.y_form_rel <= 1e-8),
             ("v_closed_form_rel", self.v_form_rel, 1e-8, self.v_form_rel <= 1e-8),
         ]
+
+    @property
+    def passed(self) -> bool:
+        return all(row[-1] for row in self.rows())
 
 
 def _closed_ratio(r_s: float, beta: float, c1: float, c2: float,
@@ -640,10 +619,7 @@ def machinery_check(spec: BalanceSpec, s: float, sigma: float, theta: float,
     v_closed = _closed_ratio(r_s, be, spec.c1, spec.c2, pt1, pt2, flip=True)
     v_form_rel = abs(v_ratio - v_closed) / v_closed
 
-    flags = {"product_identity": dev_se <= 4.0, "y_closed_form": y_form_rel <= 1e-8,
-             "v_closed_form": v_form_rel <= 1e-8}
     return MachineryResult(
         s=s, sigma=sigma, theta=theta, transforms=transforms,
         product_lhs=lhs, product_rhs=rhs, product_se=se, product_dev_se=dev_se,
-        y_form_rel=y_form_rel, v_form_rel=v_form_rel,
-        pass_flags=flags, passed=all(flags.values()))
+        y_form_rel=y_form_rel, v_form_rel=v_form_rel)

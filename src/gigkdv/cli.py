@@ -171,10 +171,6 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _battery_exit(rows) -> int:
-    return 0 if all(bool(r[-1]) for r in rows) else 1
-
-
 def _square(entries, r: int, key: str) -> np.ndarray:
     """Row-major `entries` as an r x r matrix; None gives the identity."""
     if entries is None:
@@ -190,11 +186,15 @@ def _square(entries, r: int, key: str) -> np.ndarray:
 # flags and the output stream
 # ---------------------------------------------------------------------------
 
-def _cmd_specfun_check(seed, params, args, out):
-    rows = specfun.check_table()
-    write_csv(out, "specfun-check", seed, params,
-              ("test", "nu", "z", "statistic", "threshold", "pass"), rows)
-    return _battery_exit(rows)
+def _battery(rows_of, columns=("test", "statistic", "threshold", "pass")):
+    """The handler of a battery command: one CSV row per check, from
+    `rows_of(seed, params)`, each ending in its pass flag; exit 1 unless
+    every row passes."""
+    def run(seed, params, args, out):
+        rows = rows_of(seed, params)
+        write_csv(out, f"{args.module}-{args.action}", seed, params, columns, rows)
+        return 0 if all(row[-1] for row in rows) else 1
+    return run
 
 
 def _law_from_args(kind, lam, a, b):
@@ -215,33 +215,12 @@ def _cmd_dist_sample(seed, params, args, out):
     return 0
 
 
-def _cmd_dist_check(seed, params, args, out):
-    rows = dist.check_battery(seed)
-    write_csv(out, "dist-check", seed, params,
-              ("test", "statistic", "threshold", "pass"), rows)
-    return _battery_exit(rows)
-
-
 def _cmd_map_eval(seed, params, args, out):
     fn = maps.psi if args.psi else maps.f_dk
     u, v = fn(maps.MapParams(params["alpha"], params["beta"]), (params["x"], params["y"]))
     out.write(_header("map-eval", seed, {**params, "psi": args.psi}) + "\n")
     out.write(f"{u!r},{v!r}\n")
     return 0
-
-
-def _cmd_map_check(seed, params, args, out):
-    rows = maps.check_battery(seed)
-    write_csv(out, "map-check", seed, params,
-              ("test", "statistic", "threshold", "pass"), rows)
-    return _battery_exit(rows)
-
-
-def _cmd_matrix_check(seed, params, args, out):
-    rows = matrix.prop51_battery(params["r"], params["alpha"], params["beta"], seed)
-    write_csv(out, "matrix-check", seed, params,
-              ("test", "statistic", "threshold", "pass"), rows)
-    return _battery_exit(rows)
 
 
 def _cmd_matrix_sample(seed, params, args, out):
@@ -302,13 +281,10 @@ def _cmd_balance_verify(seed, params, args, out):
     return 0 if report.passed else 1
 
 
-def _cmd_balance_machinery(seed, params, args, out):
-    params["variant"] = "psi"
-    res = balance.machinery_check(_balance_spec(params), params["s"], params["sigma"],
-                                  params["theta"], seed, params["n"])
-    write_csv(out, "balance-machinery", seed, params,
-              ("test", "statistic", "threshold", "pass"), res.rows())
-    return 0 if res.passed else 1
+def _machinery_rows(seed, params):
+    params["variant"] = "psi"  # the header records it
+    return balance.machinery_check(_balance_spec(params), params["s"], params["sigma"],
+                                   params["theta"], seed, params["n"]).rows()
 
 
 def _lattice_config(seed, params, args):
@@ -362,20 +338,24 @@ _REPLAY = (("--replay", {"help": "boundary file to replay"}),)
 
 # (module, action, help, handler, parameter table, flag-only arguments)
 _COMMANDS = (
-    ("specfun", "check", "Bessel residual battery as CSV", _cmd_specfun_check,
+    ("specfun", "check", "Bessel residual battery as CSV",
+     _battery(lambda seed, params: specfun.check_table(),
+              ("test", "nu", "z", "statistic", "threshold", "pass")),
      (_SEED,), ()),
     ("dist", "sample", "draw i.i.d. variates", _cmd_dist_sample,
      (Param("law", str, "gig", "gig, gamma or invgamma"), _LAMBDA,
       Param("a", float, 1.0), Param("b", float, 1.0), _N, _SEED), ()),
-    ("dist", "check", "distribution invariant battery", _cmd_dist_check,
-     (_BATTERY_SEED,), ()),
+    ("dist", "check", "distribution invariant battery",
+     _battery(lambda seed, params: dist.check_battery(seed)), (_BATTERY_SEED,), ()),
     ("map", "eval", "apply the cell map to one point", _cmd_map_eval,
      (*(Param(key, float) for key in ("alpha", "beta", "x", "y")), _SEED),
      (("--psi", {"action": "store_true", "help": "use the conjugated map"}),)),
-    ("map", "check", "identity/Jacobian battery", _cmd_map_check,
-     (_BATTERY_SEED,), ()),
+    ("map", "check", "identity/Jacobian battery",
+     _battery(lambda seed, params: maps.check_battery(seed)), (_BATTERY_SEED,), ()),
     ("matrix", "check", "involution/Jacobian battery at dimension r",
-     _cmd_matrix_check, (_R, _ALPHA, _BETA, _SEED), ()),
+     _battery(lambda seed, params: matrix.prop51_battery(
+         params["r"], params["alpha"], params["beta"], seed)),
+     (_R, _ALPHA, _BETA, _SEED), ()),
     ("matrix", "sample", "MGIG MCMC draws, one row-major matrix per line",
      _cmd_matrix_sample,
      (_R, Param("p", float, 1.5), _A, _B, _N,
@@ -387,7 +367,7 @@ _COMMANDS = (
       _LAMBDA, Param("n", int, 100_000), _R, _A, _B, _BALANCE_SEED),
      (("--batch", {"help": "file with one spec per line (key=value tokens)"}),)),
     ("balance", "machinery", "tilted-transform identity residuals (CSV)",
-     _cmd_balance_machinery,
+     _battery(_machinery_rows),
      (_ALPHA, _BETA, _C1, _C2, _LAMBDA, Param("s", float, 0.7),
       Param("sigma", float, -1.0), Param("theta", float, -0.5),
       Param("n", int, 200_000), _BALANCE_SEED), ()),

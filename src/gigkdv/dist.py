@@ -38,11 +38,9 @@ __all__ = [
     "cdf",
     "ext_laplace",
     "ext_laplace_log",
-    "gig_moment",
     "sample",
     "draw",
     "reciprocal_law",
-    "tilt",
     "check_battery",
 ]
 
@@ -235,7 +233,7 @@ def cdf(law: MarginalLaw, x) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# extended Laplace transform and exponential tilting
+# extended Laplace transform and reciprocity
 # ---------------------------------------------------------------------------
 
 def ext_laplace_log(law: GigParams, s: float, sigma: float, theta: float) -> float:
@@ -262,11 +260,6 @@ def ext_laplace(law: GigParams, s: float, sigma: float, theta: float) -> float:
     return math.exp(ext_laplace_log(law, s, sigma, theta))
 
 
-def gig_moment(law: GigParams, order: float) -> float:
-    """E[X^order] = (b/a)^(order/2) K_(lam+order) / K_lam at 2 sqrt(ab)."""
-    return ext_laplace(law, order, 0.0, 0.0)
-
-
 def reciprocal_law(law: MarginalLaw) -> MarginalLaw:
     """Law of 1/X: GIG(lam,a,b) -> GIG(-lam,b,a); Gamma <-> InvGamma."""
     if isinstance(law, GigParams):
@@ -274,19 +267,6 @@ def reciprocal_law(law: MarginalLaw) -> MarginalLaw:
     if isinstance(law, GammaParams):
         return InvGammaParams(law.lam, law.a)
     return GammaParams(law.lam, law.b)
-
-
-def tilt(law: GigParams, s: float, a_tilt: float, b_tilt: float) -> GigParams:
-    """Reweight by x^s exp(a_tilt x + b_tilt / x) and renormalize.
-
-    GIG(lam, a, b) -> GIG(lam + s, a - a_tilt, b - b_tilt); tilts compose
-    additively.  Requires a_tilt < a and b_tilt < b.
-    """
-    if not isinstance(law, GigParams):
-        raise DomainError("tilt is defined for GIG laws")
-    if not (a_tilt < law.a and b_tilt < law.b):
-        raise DomainError(f"tilt bounds violated for {law}: ({s}, {a_tilt}, {b_tilt})")
-    return GigParams(law.lam + s, law.a - a_tilt, law.b - b_tilt)
 
 
 # ---------------------------------------------------------------------------

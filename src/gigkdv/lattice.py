@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import dist
+from .balance import BalanceSpec, input_laws, output_laws
 from .errors import DomainError
 from .maps import MapParams, f_dk
 from .rng import rng_stream
@@ -60,24 +61,13 @@ class LatticeConfig:
     n_sites: int
     horizon: int
     map: MapParams
-    x_marginal: dist.MarginalLaw
-    y_marginal: dist.MarginalLaw
+    laws: tuple  # ((x law, y law) of even cells, (x law, y law) of odd cells)
     seed: int = 0
-    boundary: Replay | None = None  # None: i.i.d. draws from the marginals
-    x_marginal_odd: dist.MarginalLaw | None = None
-    y_marginal_odd: dist.MarginalLaw | None = None
+    boundary: Replay | None = None  # None: i.i.d. draws from the laws
 
     def __post_init__(self):
         if self.n_sites < 1 or self.horizon < 1:
             raise DomainError("need n_sites >= 1 and horizon >= 1")
-
-    def x_law(self, parity: int) -> dist.MarginalLaw:
-        return self.x_marginal if parity == 0 else (self.x_marginal_odd
-                                                    or self.x_marginal)
-
-    def y_law(self, parity: int) -> dist.MarginalLaw:
-        return self.y_marginal if parity == 0 else (self.y_marginal_odd
-                                                    or self.y_marginal)
 
 
 @dataclass(frozen=True)
@@ -92,26 +82,23 @@ def stationary_config(map: MapParams, lam: float, c1: float, c2: float,
                       boundary: Replay | None = None) -> LatticeConfig:
     """Boundary laws of the stationary lattice measure.
 
-    Even-parity cells carry the input laws (GIG(-lam, alpha c1, c2),
-    GIG(-lam, beta c2, c1)), odd-parity cells the mapped laws with
-    c1 <-> c2; for c1 == c2 the parities coincide and the measure is a
-    plain product measure.
+    Even-parity cells carry the input laws of the fdk `BalanceSpec`
+    (GIG(-lam, alpha c1, c2), GIG(-lam, beta c2, c1)), odd-parity cells its
+    output laws, the same with c1 <-> c2; for c1 == c2 the parities
+    coincide and the measure is a plain product measure.
     """
-    al, be = map.alpha, map.beta
-    return LatticeConfig(
-        n_sites=n_sites, horizon=horizon, map=map,
-        x_marginal=dist.make_law(-lam, al * c1, c2),
-        y_marginal=dist.make_law(-lam, be * c2, c1),
-        x_marginal_odd=dist.make_law(-lam, al * c2, c1),
-        y_marginal_odd=dist.make_law(-lam, be * c1, c2),
-        seed=seed, boundary=boundary)
+    spec = BalanceSpec(map, lam, c1, c2)
+    return LatticeConfig(n_sites=n_sites, horizon=horizon, map=map,
+                         laws=(input_laws(spec), output_laws(spec)),
+                         seed=seed, boundary=boundary)
 
 
 # ---------------------------------------------------------------------------
 # boundary data
 # ---------------------------------------------------------------------------
 
-def _parity_draws(law_even, law_odd, indices: np.ndarray, rng_even, rng_odd):
+def _parity_draws(laws, indices: np.ndarray, rng_even, rng_odd):
+    law_even, law_odd = laws
     out = np.empty(len(indices))
     even = indices % 2 == 0
     n_even = int(np.count_nonzero(even))
@@ -135,12 +122,12 @@ def _boundary_arrays(config: LatticeConfig):
         return x0, ycol, yref
     n_idx = np.arange(1, config.n_sites + 1)
     t_idx = np.arange(1, config.horizon + 1)
+    x_laws, y_laws = zip(*config.laws)  # (even, odd) per field
     return tuple(  # x0 on streams 10/11, ycol on 12/13, yref on 14/15
-        _parity_draws(law(0), law(1), idx, rng_stream(config.seed, stream),
+        _parity_draws(laws, idx, rng_stream(config.seed, stream),
                       rng_stream(config.seed, stream + 1))
-        for law, idx, stream in ((config.x_law, n_idx, 10),
-                                 (config.y_law, t_idx, 12),
-                                 (config.y_law, n_idx, 14)))
+        for laws, idx, stream in ((x_laws, n_idx, 10), (y_laws, t_idx, 12),
+                                  (y_laws, n_idx, 14)))
 
 
 def save_boundary(path, x0: np.ndarray, ycol: np.ndarray, yref: np.ndarray):

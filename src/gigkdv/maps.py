@@ -25,7 +25,6 @@ __all__ = [
     "psi",
     "psi_identities",
     "jacobian_det",
-    "jacobian_abs",
     "check_battery",
 ]
 
@@ -151,12 +150,6 @@ def jacobian_det(p: MapParams, xy):
     dv_dy = (vyp - vym) / (2.0 * hy)
     det = du_dx * dv_dy - du_dy * dv_dx
     return float(det) if np.ndim(det) == 0 else det
-
-
-def jacobian_abs(p: MapParams, xy):
-    """|det J| of f_dk; equals 1 within finite-difference tolerance."""
-    det = jacobian_det(p, xy)
-    return abs(det) if np.ndim(det) == 0 else np.abs(det)
 
 
 def check_battery(seed: int = 20260809, n: int = 10_000):

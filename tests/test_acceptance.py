@@ -296,12 +296,9 @@ def _run_c8():
     rep = lattice.stationarity_report(cfg, [10, 25, 50])
     min_p = min(row["p_value"] for row in rep.tests)
 
-    xl, xo = cfg.x_marginal, cfg.x_marginal_odd
-    pert = lattice.LatticeConfig(
-        cfg.n_sites, cfg.horizon, cfg.map,
-        dist.GigParams(xl.lam, xl.a / 2.0, 2.0 * xl.b), cfg.y_marginal,
-        x_marginal_odd=dist.GigParams(xo.lam, xo.a / 2.0, 2.0 * xo.b),
-        y_marginal_odd=cfg.y_marginal_odd, seed=ACC_SEED)
+    laws = tuple((dist.GigParams(x.lam, x.a / 2.0, 2.0 * x.b), y) for x, y in cfg.laws)
+    pert = lattice.LatticeConfig(cfg.n_sites, cfg.horizon, cfg.map, laws,
+                                 seed=ACC_SEED)
     rep_p = lattice.stationarity_report(pert, [10, 25, 50])
     drift_detected = not rep_p.passed
     ok = rep.passed and drift_detected

@@ -149,6 +149,20 @@ def oracle_dcor_matrices_test(u, v, n_perm, rng):
     return obs, (1.0 + hits) / (n_perm + 1.0)
 
 
+def independence_calibration(seed, reps, m, n_perm):
+    """How many of `reps` independent GIG pairs of m draws each give a
+    permutation p <= 0.01; super-uniform calibration keeps it near reps/100."""
+    law = dist.GigParams(0.5, 1.0, 1.0)
+    hits = 0
+    for k in range(reps):
+        rng = rng_stream(seed, 61_000 + k)
+        u = dist.draw(law, rng, m)
+        v = dist.draw(law, rng, m)
+        _, p = balance.distance_correlation_test(u, v, n_perm=n_perm, rng=rng)
+        hits += p <= 0.01
+    return hits
+
+
 def dcor_sample(kind, m, seed):
     rng = rng_stream(seed, m)
     if kind == "ties":  # integer values, many ties in both samples
@@ -237,8 +251,7 @@ class TestDistanceCorrelation:
         assert p > 0.05
 
     def test_calibration_super_uniform(self):
-        hits = balance.independence_calibration(seed=0, reps=100, m=200,
-                                                n_perm=99)
+        hits = independence_calibration(seed=0, reps=100, m=200, n_perm=99)
         # P(p <= 0.01) <= 0.01 under the null; 100 repetitions
         assert hits <= 4
 

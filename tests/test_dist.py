@@ -235,7 +235,7 @@ class TestExtLaplace:
 
     def test_moment_is_mean(self):
         law = dist.GigParams(0.9, 1.3, 2.1)
-        m = dist.gig_moment(law, 1.0)
+        m = dist.ext_laplace(law, 1.0, 0.0, 0.0)
         oracle = quad_integral(law, weight=lambda x: x)
         assert m == pytest.approx(oracle, rel=1e-9)
 
@@ -248,36 +248,17 @@ class TestExtLaplace:
 
 
 class TestTilt:
-    def test_identity(self):
-        law = dist.GigParams(1.0, 2.0, 2.0)
-        assert dist.tilt(law, 0.0, 0.0, 0.0) == law
-
-    def test_parameter_shift(self):
-        assert dist.tilt(dist.GigParams(1.0, 2.0, 2.0), 1.0, 1.0, 0.5) == \
-            dist.GigParams(2.0, 1.0, 1.5)
-
     def test_pointwise_density(self):
-        # tilted-and-renormalized density equals the shifted law's density
+        # the density reweighted by x^s exp(at x + bt / x) and renormalized
+        # is that of GIG(lam + s, a - at, b - bt)
         law = dist.GigParams(1.0, 2.0, 2.0)
         s, at, bt = 1.0, 1.0, 0.5
-        out = dist.tilt(law, s, at, bt)
+        out = dist.GigParams(law.lam + s, law.a - at, law.b - bt)
         log_const = dist.ext_laplace_log(law, s, at, bt)
         for x in (0.1, 0.7, 1.0, 3.0, 12.0):
             lhs = (dist.log_pdf(law, x) + s * math.log(x) + at * x + bt / x
                    - log_const)
             assert lhs == pytest.approx(dist.log_pdf(out, x), abs=1e-10)
-
-    def test_composition(self):
-        law = dist.GigParams(0.2, 3.0, 4.0)
-        two_step = dist.tilt(dist.tilt(law, 0.5, 1.0, 1.0), -0.2, 0.5, 2.0)
-        want = dist.tilt(law, 0.3, 1.5, 3.0)
-        assert two_step.lam == pytest.approx(want.lam, abs=1e-15)
-        assert two_step.a == pytest.approx(want.a, abs=1e-15)
-        assert two_step.b == pytest.approx(want.b, abs=1e-15)
-
-    def test_bounds(self):
-        with pytest.raises(DomainError):
-            dist.tilt(dist.GigParams(1.0, 2.0, 2.0), 0.0, 2.0, 0.0)
 
 
 class TestSampling:
@@ -295,7 +276,7 @@ class TestSampling:
     def test_mean_within_four_se(self):
         law = dist.GigParams(0.9, 1.3, 2.1)
         xs = dist.sample(law, 77, 1_000_000)
-        want = dist.gig_moment(law, 1.0)
+        want = dist.ext_laplace(law, 1.0, 0.0, 0.0)
         assert abs(xs.mean() - want) <= 4.0 * xs.std() / 1000.0
 
     def test_reciprocal_draws(self):

@@ -16,6 +16,11 @@ def small_config(n=200, t=12, seed=3, **kwargs):
                                      n_sites=n, horizon=t, seed=seed, **kwargs)
 
 
+def perturbed_laws(cfg):
+    """The laws of `cfg` with the x rates scaled: a by 1/2 and b by 2."""
+    return tuple((dist.GigParams(x.lam, x.a / 2.0, 2.0 * x.b), y) for x, y in cfg.laws)
+
+
 def cell_oracle(cfg):
     """The lattice one cell at a time: x[n,t], y[n,t] = f_dk(x[n,t-1], y[n-1,t])."""
     x0, ycol, _ = lattice._boundary_arrays(cfg)
@@ -39,11 +44,11 @@ def assert_matches_oracle(cfg):
 
 class TestEvolve:
     def test_single_cell(self):
-        cfg = lattice.LatticeConfig(1, 1, P12, dist.GigParams(0.5, 1, 1),
-                                    dist.GigParams(0.5, 2, 1), seed=3)
+        laws = (dist.GigParams(0.5, 1, 1), dist.GigParams(0.5, 2, 1))
+        cfg = lattice.LatticeConfig(1, 1, P12, (laws, laws), seed=3)
         frames = list(lattice.evolve(cfg))
         assert [f.t for f in frames] == [0, 1]
-        y0 = dist.draw(cfg.y_law(1), rng_stream(3, 13), 1)[0]
+        y0 = dist.draw(cfg.laws[1][1], rng_stream(3, 13), 1)[0]
         u, v = maps.f_dk(P12, (frames[0].x_row[0], y0))
         assert frames[1].x_row[0] == u
         assert frames[1].y_row[0] == v
@@ -114,8 +119,7 @@ class TestEvolve:
         path = tmp_path / "boundary.csv"
         lattice.save_boundary(path, *arrays)
         replayed = lattice.LatticeConfig(
-            cfg.n_sites, cfg.horizon, cfg.map, cfg.x_marginal, cfg.y_marginal,
-            x_marginal_odd=cfg.x_marginal_odd, y_marginal_odd=cfg.y_marginal_odd,
+            cfg.n_sites, cfg.horizon, cfg.map, cfg.laws,
             seed=999, boundary=lattice.Replay(str(path)))
         for a, b in zip(lattice.evolve(cfg), lattice.evolve(replayed)):
             assert np.array_equal(a.x_row, b.x_row)
@@ -126,8 +130,8 @@ class TestEvolve:
         path = tmp_path / "boundary.csv"
         lattice.save_boundary(path, *lattice._boundary_arrays(cfg))
         other = lattice.LatticeConfig(
-            cfg.n_sites + 1, cfg.horizon, cfg.map, cfg.x_marginal,
-            cfg.y_marginal, boundary=lattice.Replay(str(path)))
+            cfg.n_sites + 1, cfg.horizon, cfg.map, cfg.laws,
+            boundary=lattice.Replay(str(path)))
         with pytest.raises(DomainError):
             list(lattice.evolve(other))
 
@@ -142,7 +146,7 @@ class TestEvolve:
             ycol[:2] = 1e300
             path = tmp_path / f"boundary{n}.csv"
             lattice.save_boundary(path, x0, ycol, yref)
-            return lattice.LatticeConfig(n, 4, P12, cfg.x_marginal, cfg.y_marginal,
+            return lattice.LatticeConfig(n, 4, P12, cfg.laws,
                                          boundary=lattice.Replay(str(path)))
 
         assert_matches_oracle(replayed(60, [0, 1, 30], 1e300))  # one block, no scan
@@ -152,8 +156,8 @@ class TestEvolve:
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            lattice.LatticeConfig(0, 5, P12, dist.GigParams(0.5, 1, 1),
-                                  dist.GigParams(0.5, 1, 1))
+            laws = (dist.GigParams(0.5, 1, 1), dist.GigParams(0.5, 1, 1))
+            lattice.LatticeConfig(0, 5, P12, (laws, laws))
 
 
 class TestStationarity:
@@ -183,12 +187,8 @@ class TestStationarity:
     def test_perturbed_config_drifts(self):
         base = lattice.stationary_config(P12, lam=0.5, c1=1.0, c2=1.0,
                                          n_sites=20_000, horizon=12, seed=9)
-        xl, xo = base.x_marginal, base.x_marginal_odd
-        pert = lattice.LatticeConfig(
-            base.n_sites, base.horizon, base.map,
-            dist.GigParams(xl.lam, xl.a / 2.0, 2.0 * xl.b), base.y_marginal,
-            x_marginal_odd=dist.GigParams(xo.lam, xo.a / 2.0, 2.0 * xo.b),
-            y_marginal_odd=base.y_marginal_odd, seed=9)
+        pert = lattice.LatticeConfig(base.n_sites, base.horizon, base.map,
+                                     perturbed_laws(base), seed=9)
         rep = lattice.stationarity_report(pert, [6, 12])
         assert not rep.passed
 

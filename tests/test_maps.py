@@ -133,7 +133,7 @@ class TestJacobian:
             pytest.approx(-1.0, abs=1e-6)
         assert maps.jacobian_det(maps.MapParams(0.5, 3.0), (0.1, 10.0)) == \
             pytest.approx(-1.0, abs=1e-6)
-        assert maps.jacobian_abs(maps.MapParams(0.5, 3.0), (2.0, 0.2)) == \
+        assert abs(maps.jacobian_det(maps.MapParams(0.5, 3.0), (2.0, 0.2))) == \
             pytest.approx(1.0, abs=1e-6)
 
     def test_battery(self):
