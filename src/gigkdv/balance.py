@@ -240,7 +240,7 @@ def _dcor_matrices(u: np.ndarray, v: np.ndarray):
         g = cb.take(idx, 0).take(idx, 1)
         np.multiply(ca, g, out=g)
         dcov2 = max(float(g.mean()), 0.0)
-        return math.sqrt(dcov2 / math.sqrt(dvar))
+        return math.sqrt(dcov2 / dvar)
 
     return lambda rows: np.array([dcor_of(idx) for idx in rows])
 
@@ -319,7 +319,7 @@ def _dcor_1d(u: np.ndarray, v: np.ndarray):
             conc += np.einsum("pk,pk->p", 1.0 - left,
                               cnt * uu * ww - uu * sw - ww * su + suw)
         dcov2 = 2.0 * (2.0 * conc - cross) / m2 - 2.0 * row_term / (m2 * m) + const
-        return np.sqrt(np.maximum(dcov2, 0.0) / math.sqrt(dvar))
+        return np.sqrt(np.maximum(dcov2, 0.0) / dvar)
 
     return dcor_of
 
@@ -329,9 +329,11 @@ def distance_correlation_test(u: np.ndarray, v: np.ndarray,
                               rng: np.random.Generator | None = None):
     """Distance correlation of two samples with a permutation p-value.
 
-    Returns (dcor, p).  For 1-D samples every statistic comes from sorting
-    and dominance sums, O(m log m) per permutation; permutations are
-    batched, so that a batch costs O(log m) numpy steps, in
+    Returns (dcor, p), where dcor = sqrt(dCov^2 / sqrt(dVar^2_u dVar^2_v))
+    lies in [0, 1] (Szekely, Rizzo & Bakirov 2007, Ann. Statist. 35(6)),
+    and is 0 when a sample is constant.  For 1-D samples every statistic
+    comes from sorting and dominance sums, O(m log m) per permutation;
+    permutations are batched, so that a batch costs O(log m) numpy steps, in
     O(_BATCH_CELLS + m) memory.  For d > 1 the double-centered distance
     matrices are computed once, in blocks of rows, and each permutation
     re-indexes the second one, O(m^2) per permutation after an O(m^2 d)

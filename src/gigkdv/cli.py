@@ -8,10 +8,11 @@ the default.  The key is the name the output header records, the key of
 resolves by one precedence: a `--batch` line (`balance verify` only), the
 flag, the GIGKDV_SEED environment variable (seed only), a `--config` file of
 flat key=value lines, the default.  Every value given is cast and checked,
-also one that a source of higher precedence overrides, and a key that names
-no parameter of the subcommand is an error.  The output header records the
-resolved values.  Outputs carry no timestamps, so identical (binary,
-config, seed) runs are byte-identical.
+also one that a source of higher precedence overrides; a key that names
+no parameter of the subcommand is an error, and so is a key that the run
+does not read (`r` for the fdk variant of `balance verify`).  The output
+header records the resolved values.  Outputs carry no timestamps, so
+identical (binary, config, seed) runs are byte-identical.
 
 Exit status: 0 on success/pass, 1 when a verification battery fails,
 2 on usage or domain errors.  When the reader of standard output goes away
@@ -113,23 +114,36 @@ def load_config(path: str) -> dict:
     return out
 
 
-def resolve(args) -> dict:
-    """Every parameter of the subcommand's table, from its flag, GIGKDV_SEED
-    (seed only), the `--config` file or its default, in that order of
-    precedence."""
+def resolve(args):
+    """(params, given): every parameter of the subcommand's table, from its
+    flag, GIGKDV_SEED (seed only), the `--config` file or its default, in
+    that order of precedence; and the source of each given one, as error
+    messages name it."""
     table = args.table
     params = {prm.key: prm.default for prm in table}
+    given = {}
+
+    def take(values, where):
+        params.update(_cast(table, values, where))
+        given.update((key, where(key)) for key in values)
+
     if args.config:
-        params.update(_cast(table, load_config(args.config),
-                            lambda key: f"{args.config}: {key}"))
+        take(load_config(args.config), lambda key: f"{args.config}: {key}")
     if SEED_ENV in os.environ:
-        params.update(_cast(table, {"seed": os.environ[SEED_ENV]}, lambda key: SEED_ENV))
-    flags = {prm.key: text for prm in table if (text := getattr(args, prm.key)) is not None}
-    params.update(_cast(table, flags, _flag))
+        take({"seed": os.environ[SEED_ENV]}, lambda key: SEED_ENV)
+    take({prm.key: text for prm in table if (text := getattr(args, prm.key)) is not None},
+         _flag)
     missing = [_flag(key) for key, value in params.items() if value is _REQUIRED]
     if missing:
         args.parser.error(f"the following arguments are required: {', '.join(missing)}")
-    return params
+    return params, given
+
+
+def _unread(given: dict, keys, reader: str) -> None:
+    """Reject a run that is given one of `keys`, which `reader` does not read."""
+    for key in keys:
+        if key in given:
+            raise ConfigError(f"{given[key]}: not read by {reader}")
 
 
 def _fmt(v) -> str:
@@ -183,7 +197,8 @@ def _square(entries, r: int, key: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # subcommand implementations: each takes the resolved seed, the other
 # resolved parameters (the header's, unless it says otherwise), the parsed
-# flags and the output stream
+# flags, with the source of each given parameter in `args.given`, and the
+# output stream
 # ---------------------------------------------------------------------------
 
 def _battery(rows_of, columns=("test", "statistic", "threshold", "pass")):
@@ -197,18 +212,20 @@ def _battery(rows_of, columns=("test", "statistic", "threshold", "pass")):
     return run
 
 
-def _law_from_args(kind, lam, a, b):
-    if kind == "gig":
-        return dist.GigParams(lam, a, b)
-    if kind == "gamma":
-        return dist.GammaParams(lam, a)
-    if kind == "invgamma":
-        return dist.InvGammaParams(lam, b)
-    raise DomainError(f"unknown law {kind!r}")
+# each law's parameter type and the rates it reads, in argument order
+_LAWS = {"gig": (dist.GigParams, ("a", "b")), "gamma": (dist.GammaParams, ("a",)),
+         "invgamma": (dist.InvGammaParams, ("b",))}
 
 
 def _cmd_dist_sample(seed, params, args, out):
-    law = _law_from_args(params["law"], params["lambda"], params["a"], params["b"])
+    if params["law"] not in _LAWS:
+        raise DomainError(f"unknown law {params['law']!r}")
+    law_type, rates = _LAWS[params["law"]]
+    unread = [key for key in ("a", "b") if key not in rates]
+    _unread(args.given, unread, f"the {params['law']} law")
+    for key in unread:  # the header records only the keys the law reads
+        del params[key]
+    law = law_type(params["lambda"], *(params[key] for key in rates))
     values = dist.sample(law, seed, params["n"])
     write_csv(out, "dist-sample", seed, params, ("value",),
               ((v,) for v in values))
@@ -236,20 +253,25 @@ def _cmd_matrix_sample(seed, params, args, out):
     return 0 if run.ok else 1
 
 
-def _balance_spec(params):
+def _balance_spec(params, given):
+    """The spec of one `balance verify` run; a key that its variant does not
+    read (r, a and b for fdk and psi, c1 and c2 for matrix) must not be given."""
     map_params = maps.MapParams(params["alpha"], params["beta"])
     if params["variant"] == "matrix":
+        _unread(given, ("c1", "c2"), "the matrix variant")
         r = params["r"]
         return balance.BalanceSpec(map_params, params["lambda"], variant="matrix",
                                    a=_square(params["a"], r, "a"),
                                    b=_square(params["b"], r, "b"))
-    return balance.BalanceSpec(map_params, params["lambda"], params["c1"],
+    spec = balance.BalanceSpec(map_params, params["lambda"], params["c1"],
                                params["c2"], params["variant"])
+    _unread(given, ("r", "a", "b"), f"the {spec.variant} variant")
+    return spec
 
 
-def _parse_batch(path, table, params):
-    """One run's parameters per nonempty line of `path`, a line's key=value
-    tokens overriding `params`."""
+def _parse_batch(path, table, params, given):
+    """(params, given) of one run per nonempty line of `path`, a line's
+    key=value tokens overriding `params`, whose sources are `given`."""
     runs = []
     for lineno, line in _lines(path):
         entry = {}
@@ -258,21 +280,23 @@ def _parse_batch(path, table, params):
                 raise ConfigError(f"{path}:{lineno}: expected key=value tokens")
             key, _, value = token.partition("=")
             entry[key] = value
-        runs.append({**params, **_cast(table, entry, lambda key: f"{path}:{lineno}: {key}")})
+        where = f"{path}:{lineno}: "
+        runs.append(({**params, **_cast(table, entry, lambda key: where + key)},
+                     {**given, **{key: where + key for key in entry}}))
     return runs
 
 
 def _cmd_balance_verify(seed, params, args, out):
     if args.batch:
         # every line is checked before the first verdict runs
-        runs = [(_balance_spec(run), run["seed"], run["n"]) for run in
-                _parse_batch(args.batch, args.table, {**params, "seed": seed})]
+        runs = [(_balance_spec(run, given), run["seed"], run["n"]) for run, given in
+                _parse_batch(args.batch, args.table, {**params, "seed": seed}, args.given)]
         reports = [balance.monte_carlo_balance(*run) for run in runs]
         write_json(out, "balance-verify-batch", seed,
                    {"batch": args.batch, "count": len(reports)},
                    {"reports": [rep.to_dict() for rep in reports]})
         return 0 if all(rep.passed for rep in reports) else 1
-    spec = _balance_spec(params)
+    spec = _balance_spec(params, args.given)
     report = balance.monte_carlo_balance(spec, seed, params["n"])
     # the spec's a and b, symmetrized, stand for the given ones
     write_json(out, "balance-verify", seed,
@@ -283,8 +307,10 @@ def _cmd_balance_verify(seed, params, args, out):
 
 def _machinery_rows(seed, params):
     params["variant"] = "psi"  # the header records it
-    return balance.machinery_check(_balance_spec(params), params["s"], params["sigma"],
-                                   params["theta"], seed, params["n"]).rows()
+    spec = balance.BalanceSpec(maps.MapParams(params["alpha"], params["beta"]),
+                               params["lambda"], params["c1"], params["c2"], "psi")
+    return balance.machinery_check(spec, params["s"], params["sigma"], params["theta"],
+                                   seed, params["n"]).rows()
 
 
 def _lattice_config(seed, params, args):
@@ -405,7 +431,7 @@ def dispatch(argv=None) -> int:
     """Run one subcommand; returns the process exit status."""
     args = build_parser().parse_args(argv)
     try:
-        params = resolve(args)
+        params, args.given = resolve(args)
         seed = params.pop("seed")
         # like a shell redirection, --out is created before the work starts
         if args.out == "-":

@@ -368,13 +368,14 @@ def sample(law: MarginalLaw, seed: int, n: int, stream: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _ks_battery_points():
+    # 20 distinct shapes (lam, a b): eight mixed ones, then each lam at a b
+    # = 1e-4 (near the Gamma or inverse-Gamma limit), 1e-2 and 1e3 in turn
     lams = [-5.0, -2.0, -0.5, 0.0, 0.7, 1.5, 3.0, 5.0]
     abs_ = [(0.1, 1.0), (1.0, 0.1), (1.0, 1.0), (3.0, 7.0), (10.0, 10.0),
             (0.1, 10.0), (10.0, 0.1), (2.5, 0.4)]
-    pts = []
-    for i in range(20):
-        pts.append(GigParams(lams[i % len(lams)], *abs_[i % len(abs_)]))
-    return pts
+    return ([GigParams(lam, *ab) for lam, ab in zip(lams, abs_)]
+            + [GigParams(lams[i % 8], 1.0, (1e-4, 1e-2, 1e3)[(i - 8) % 3])
+               for i in range(8, 20)])
 
 
 def check_battery(seed: int = 20260809, ks_n: int = 100_000):

@@ -141,6 +141,8 @@ def save_boundary(path, x0: np.ndarray, ycol: np.ndarray, yref: np.ndarray):
 
 
 def load_boundary(path):
+    """(x0, ycol, yref) from a file written by `save_boundary`; the indices
+    of each kind must run 1, 2, ... in file order."""
     parts = {"x0": [], "ycol": [], "yref": []}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -151,9 +153,14 @@ def load_boundary(path):
             try:
                 if len(row) != 3 or row[0] not in parts:
                     raise ValueError
-                parts[row[0]].append(float(row[2]))
+                index, value = int(row[1]), float(row[2])
             except ValueError:
                 raise DomainError(f"{path}: malformed row {row!r}") from None
+            values = parts[row[0]]
+            if index != len(values) + 1:
+                raise DomainError(f"{path}: row {row!r} needs index {len(values) + 1}: "
+                                  "the indices of each kind run 1, 2, ... in file order")
+            values.append(value)
     return tuple(np.asarray(parts[k]) for k in ("x0", "ycol", "yref"))
 
 

@@ -117,7 +117,7 @@ def oracle_dcor_test(u, v, n_perm, rng):
         return 0.0, 1.0
 
     def dcor_of(cb_mat):
-        return math.sqrt(max(float((ca * cb_mat).mean()), 0.0) / math.sqrt(dvar))
+        return math.sqrt(max(float((ca * cb_mat).mean()), 0.0) / dvar)
 
     obs = dcor_of(cb)
     hits = 0
@@ -141,7 +141,7 @@ def oracle_dcor_matrices_test(u, v, n_perm, rng):
 
     def dcor_of(idx):
         dcov2 = max(float((ca * cb[np.ix_(idx, idx)]).mean()), 0.0)
-        return math.sqrt(dcov2 / math.sqrt(dvar))
+        return math.sqrt(dcov2 / dvar)
 
     obs = dcor_of(np.arange(len(u)))
     hits = sum(dcor_of(rng.permutation(len(u))) >= obs - balance._TIE_RTOL * obs
@@ -161,6 +161,19 @@ def independence_calibration(seed, reps, m, n_perm):
         _, p = balance.distance_correlation_test(u, v, n_perm=n_perm, rng=rng)
         hits += p <= 0.01
     return hits
+
+
+def direct_dcor(u, v):
+    """dCor(u, v) = dCov(u, v) / sqrt(dVar(u) dVar(v)) from its O(m^2)
+    definition by double-centered Euclidean distance matrices (Szekely,
+    Rizzo & Bakirov 2007, Ann. Statist. 35(6))."""
+    def centered(z):
+        d = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=-1)
+        return d - d.mean(axis=0) - d.mean(axis=1)[:, None] + d.mean()
+
+    ca, cb = centered(u), centered(v)
+    dcov2, dvar_u, dvar_v = (ca * cb).mean(), (ca * ca).mean(), (cb * cb).mean()
+    return math.sqrt(dcov2 / math.sqrt(dvar_u * dvar_v))
 
 
 def dcor_sample(kind, m, seed):
@@ -229,12 +242,27 @@ class TestDistanceCorrelation:
         assert peak < 40_000_000
 
     def test_three_vectors_unchanged(self):
-        # d > 1 keeps the double-centered matrices; the value was computed
-        # by the matrix code for every dimension before the 1-D path existed
+        # d > 1 keeps the double-centered matrices; the p-value was computed
+        # by the matrix code for every dimension before the 1-D path existed,
+        # the statistic when it became the distance correlation
         rng = rng_stream(5, 0)
         u, v = rng.normal(size=(150, 3)), rng.normal(size=(150, 3))
         assert balance.distance_correlation_test(u, v, n_perm=99, rng=rng) == \
-            (0.2256708286891229, 0.21)
+            (0.2707109613184893, 0.21)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("kind", ["independent", "dependent", "identical"])
+    def test_statistic_is_distance_correlation(self, kind, d):
+        rng = rng_stream(d, 300)
+        u = rng.normal(size=(300, d))
+        v = {"independent": rng.normal(size=(300, d)),
+             "dependent": u ** 2 + 0.3 * rng.normal(size=(300, d)),
+             "identical": u.copy()}[kind]
+        want = direct_dcor(u, v)
+        for scale in (1.0, 100.0):
+            stat, _ = balance.distance_correlation_test(scale * u, v, n_perm=9)
+            assert 0.0 <= stat <= 1.0 + 1e-12
+            assert stat == pytest.approx(want, rel=1e-10, abs=1e-14)
 
     def test_detects_dependence(self):
         rng = rng_stream(1, 0)

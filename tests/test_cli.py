@@ -85,6 +85,15 @@ class TestDistSample:
         values = [float(v) for v in lines[2:]]
         assert len(values) == 50 and all(v > 0 for v in values)
 
+    @pytest.mark.parametrize("law,rates", [("gig", " a=1.0 b=1.0 "),
+                                           ("gamma", " a=1.0 "), ("invgamma", " b=1.0 ")])
+    def test_header_records_the_rates_read(self, law, rates, capsys, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        assert run(["dist", "sample", "--law", law, "--lambda", "2", "--n", "2"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.split("seed=0")[1].startswith(rates)
+        assert header.count("=") == 5 + rates.count("=")
+
     def test_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["dist", "sample", "--law", "gamma", "--lambda", "2",
@@ -311,6 +320,9 @@ def _replay_beta_zero(tmp_path):
             + ["--alpha", "1", "--beta", "0"])
 
 
+VERIFY_FDK = ["balance", "verify", "--variant", "fdk", "--n", "1000"]
+VERIFY_PSI = ["balance", "verify", "--variant", "psi", "--n", "1000"]
+VERIFY_MATRIX = ["balance", "verify", "--variant", "matrix", "--n", "1000"]
 MATRIX_SAMPLE = ["matrix", "sample", "--r", "2", "--n", "10"]
 MAP_EVAL = ["map", "eval", "--alpha", "2", "--beta", "0.5"]
 
@@ -427,6 +439,49 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
         assert f" {key}: unknown key" in err
+
+    @pytest.mark.parametrize("argv,where,reader", [
+        (VERIFY_FDK + ["--r", "3"], "--r", "the fdk variant"),
+        (VERIFY_FDK + ["--a", "2,0,0,1"], "--a", "the fdk variant"),
+        (VERIFY_PSI + ["--b", "1"], "--b", "the psi variant"),
+        (VERIFY_MATRIX + ["--c1", "5"], "--c1", "the matrix variant"),
+        (VERIFY_MATRIX + ["--c2", "5"], "--c2", "the matrix variant"),
+        (_config_key("r=2", VERIFY_FDK), "c.cfg: r", "the fdk variant"),
+        (_config_key("c2=2", VERIFY_MATRIX), "c.cfg: c2", "the matrix variant"),
+        (_batch_line("a=1"), "batch.txt:2: a", "the fdk variant"),
+        (["dist", "sample", "--law", "gamma", "--b", "5", "--n", "3"], "--b",
+         "the gamma law"),
+        (["dist", "sample", "--law", "invgamma", "--a", "5", "--n", "3"], "--a",
+         "the invgamma law"),
+        (_config_key("b=2", ["dist", "sample", "--law", "gamma", "--n", "3"]),
+         "c.cfg: b", "the gamma law"),
+    ], ids=["fdk-r", "fdk-a", "psi-b", "matrix-c1", "matrix-c2", "config-fdk-r",
+            "config-matrix-c2", "batch-fdk-a", "gamma-b", "invgamma-a", "config-gamma-b"])
+    def test_unread_key_is_named(self, argv, where, reader, tmp_path, capsys,
+                                 monkeypatch):
+        # every key a run is given is one it reads
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        if callable(argv):
+            argv = argv(tmp_path)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
+        assert err.endswith(f"{where}: not read by {reader}\n")
+
+    def test_replay_indices_run_in_file_order(self, tmp_path, capsys, monkeypatch):
+        # x0 sites 2, 1, 7 and yref site 1 twice once ran, in file order
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        path = tmp_path / "replay.csv"
+        path.write_text("kind,index,value\nx0,2,1.0\nx0,1,2.0\nx0,7,3.0\n"
+                        "ycol,1,1.0\nyref,1,1.0\nyref,1,1.5\nyref,3,1.0\n")
+        assert run(["lattice", "run", "--n", "3", "--t", "1", "--replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"gigkdv: error: {path}: row ['x0', '2', '1.0'] needs index 1")
+        path.write_text("kind,index,value\nx0,1,1.0\nx0,2,2.0\nx0,3,3.0\n"
+                        "ycol,1,1.0\nyref,1,1.0\nyref,1,1.5\nyref,3,1.0\n")
+        assert run(["lattice", "run", "--n", "3", "--t", "1", "--replay", str(path)]) == 2
+        assert "row ['yref', '1', '1.5'] needs index 2" in capsys.readouterr().err
 
     def test_tiny_replay_value_leaves_the_range(self, tmp_path, capsys, monkeypatch):
         # past x0 = 5e-324 a carrier underflows to 0: the row leaves the

@@ -320,3 +320,11 @@ def test_check_battery_full():
     # the 20-point sampler battery at its production sample size
     rows = dist.check_battery(ks_n=100_000)
     assert all(bool(r[-1]) for r in rows), rows
+
+
+def test_ks_battery_laws_are_distinct():
+    # a GIG law's shape is (lam, a b): (a, b) and (a c, b / c) differ only
+    # by the scale c, so 20 KS tests need 20 distinct shapes
+    laws = dist._ks_battery_points()
+    assert len(laws) == 20
+    assert len({(law.lam, law.a * law.b) for law in laws}) == 20

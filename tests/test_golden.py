@@ -15,15 +15,18 @@ import pytest
 from gigkdv import cli
 
 GOLDEN = [
+    # the five `balance verify` reports were re-recorded when the printed
+    # independence statistic became the distance correlation; only
+    # independence.statistic moved
     ("balance verify --variant fdk --n 2000 --seed 7", 0,
-     "1433992b17d6d290589748f35324fe8e0fc133d4f83815b21bb7eb04f5ed08ce"),
+     "44ef915f1a4547d33498b574c3f367f57cdc2c6e021e392b9cbae2abc7b81f9a"),
     ("balance verify --variant psi --n 2000 --seed 7", 0,
-     "a36ba8173f7fe21c7781c9f024bb32c5115c8497a74b77e376c9388763ce43a4"),
+     "4f54d023c294de748d22dd7f9c66b6f21ef4f98dd69c79e4aafca58ef2125964"),
     ("balance verify --variant matrix --r 2 --n 1000 --seed 7", 0,
-     "7f22d254ad8767db05ddc0d5345612bb0036606220de77bac07658f515fdd259"),
+     "0161ff7a5472cb5808780d96f48843600579a3536e52a3cb8e6632eab5956f9c"),
     # recorded at aeafd57: pins the d = 6 distance matrices and r = 3 draws
     ("balance verify --variant matrix --r 3 --n 1000 --seed 7", 0,
-     "be505768aa7ae02e4b5c3815f9b10bd890ce716dbaf52c87423655c4e8fe2949"),
+     "8118d01790ad82b4bab3fec96d5626876086cd3c519daf983acd0a36b77010d2"),
     ("balance machinery --n 20000 --seed 7", 0,
      "c05180dd668d38bcfc1e5ceb8e0d70b7ea1ffa0c32865f89db0dcdc9a77a4a2b"),
     ("lattice stationarity --n 2000 --t 10 --probes 5,10 --seed 9", 0,
@@ -31,9 +34,11 @@ GOLDEN = [
     ("lattice run --n 50 --t 3 --seed 3", 0,
      "d41c9e89fc4e6c3a81b9ef05a4d2ad8fa5ead5a2517919d5f6e3d1c959cef3de"),
     # re-recorded when the limit-family CDFs became incomplete gamma
-    # functions: the two weak_limit rows moved in their last digits
+    # functions: the two weak_limit rows moved in their last digits; and
+    # when the sampler KS battery came to test 20 distinct laws, not 8:
+    # only sampler_ks_min_p moved
     ("dist check --seed 20260809", 0,
-     "ff71386c36c552c3671d0ca69cbbdae63d2e1123046d41279b57c6d15b8951a0"),
+     "09b1daabeeb04b5b893913d49d8f21a9fcc6c773aeaca332f5b36e4b207b44d1"),
     ("map check --seed 20260809", 0,
      "add4286c0e6f6438e29eb190d83fa385fc3127bb21fcb70776bfab046b91a835"),
     ("matrix check --r 3 --seed 7", 0,
@@ -43,8 +48,9 @@ GOLDEN = [
     # recorded at 21d2d9d, before the CLI's parameter table
     ("dist sample --n 100 --seed 3", 0,
      "d3ea8809e004ad65ae40405c792b0f51c6baf0f21a43aab6ecb077082f925ad8"),
+    # re-recorded when the header came to record only the rates a law reads
     ("dist sample --law invgamma --lambda 1.5 --b 2 --n 50 --seed 5", 0,
-     "b4233fe7865c0b1509e9508b025e561a0e20ffb34cee55f536e5736b06868847"),
+     "abf56c4db22c6da89cafb3435ebfc6d41f44e0c8175586d13be85f9d4fadb6cf"),
     # 5 draws per chain are too few for R-hat, so the run exits 1
     ("matrix sample --r 2 --n 40 --burn-in 20 --thin 1 --seed 3", 1,
      "69197ae60bf11a2ba5529e8f4210bd5d7c390de93e433938faa54a91bc24cbc0"),
@@ -55,7 +61,7 @@ GOLDEN = [
     ("lattice stationarity --n 2000 --t 10 --c 1 --c2 2 --probes 5,10 --seed 9", 0,
      "8aa8943d9bc11104a52783e29868ac9a1817afef4a8aa5b09ee4dab018be1ab2"),
     ("balance verify --batch specs.txt --seed 7", 0,
-     "c3943ed1cbe6a6cb156f128f2a8e16e766ebaefe728e581111029284e6024169"),
+     "a58d695ea7d5bc84e5e3c9ca30cbd676ee4cd693ec544f7c7ae6fb625603f735"),
     ("lattice run --t 3 --config run.cfg", 0,
      "6b1cdc20f2fe4aee52b109f4739cfe6e527d5f5b706e941eeb793ea9152d52e2"),
 ]
