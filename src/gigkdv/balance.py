@@ -103,11 +103,11 @@ def input_laws(spec: BalanceSpec):
     """(law of the first input, law of the second input)."""
     al, be = spec.map.alpha, spec.map.beta
     if spec.variant == "fdk":
-        return (dist.make_law(-spec.lam, al * spec.c1, spec.c2),
-                dist.make_law(-spec.lam, be * spec.c2, spec.c1))
+        return (dist.GigParams(-spec.lam, al * spec.c1, spec.c2),
+                dist.GigParams(-spec.lam, be * spec.c2, spec.c1))
     if spec.variant == "psi":
-        return (dist.make_law(-spec.lam, al * spec.c1, spec.c2),
-                dist.make_law(spec.lam, spec.c1, be * spec.c2))
+        return (dist.GigParams(-spec.lam, al * spec.c1, spec.c2),
+                dist.GigParams(spec.lam, spec.c1, be * spec.c2))
     return (matrix.MgigParams(spec.lam, al * spec.a, spec.b),
             matrix.MgigParams(spec.lam, be * spec.b, spec.a))
 
@@ -418,7 +418,7 @@ _N_PERM = 499
 
 
 def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
-                        y_override: "dist.MarginalLaw | None" = None,
+                        y_override: "dist.GigParams | None" = None,
                         mcmc: "matrix.McmcConfig | None" = None) -> BalanceReport:
     """Sample, map, test: KS per mapped marginal, distance correlation for
     the mapped pair, plus the deterministic transport residual.
@@ -610,7 +610,7 @@ def machinery_check(spec: BalanceSpec, s: float, sigma: float, theta: float,
     # v_s(sg, th) = L_T(s, th, beta*sg), T ~ GIG(lam, c2, beta c1)
     pt1 = (sigma, theta)
     pt2 = (2.0 * sigma, 0.5 * theta - 1.0)
-    law_t = dist.make_law(spec.lam, spec.c2, be * spec.c1)
+    law_t = dist.GigParams(spec.lam, spec.c2, be * spec.c1)
     r_s = spec.lam + s
     y_ratio = math.exp(dist.ext_laplace_log(law_b, s, pt1[0], be * pt1[1])
                        - dist.ext_laplace_log(law_b, s, pt2[0], be * pt2[1]))

@@ -212,20 +212,22 @@ def _battery(rows_of, columns=("test", "statistic", "threshold", "pass")):
     return run
 
 
-# each law's parameter type and the rates it reads, in argument order
-_LAWS = {"gig": (dist.GigParams, ("a", "b")), "gamma": (dist.GammaParams, ("a",)),
-         "invgamma": (dist.InvGammaParams, ("b",))}
+# each law's sign of the GIG order and the rates it reads; an unread rate is
+# 0: gamma is GIG(lambda, a, 0) and invgamma is GIG(-lambda, 0, b)
+_LAWS = {"gig": (1.0, ("a", "b")), "gamma": (1.0, ("a",)), "invgamma": (-1.0, ("b",))}
 
 
 def _cmd_dist_sample(seed, params, args, out):
     if params["law"] not in _LAWS:
         raise DomainError(f"unknown law {params['law']!r}")
-    law_type, rates = _LAWS[params["law"]]
+    sign, rates = _LAWS[params["law"]]
+    if params["law"] != "gig" and not params["lambda"] > 0.0:
+        raise DomainError(f"the {params['law']} law needs lambda > 0, got {params['lambda']}")
     unread = [key for key in ("a", "b") if key not in rates]
     _unread(args.given, unread, f"the {params['law']} law")
     for key in unread:  # the header records only the keys the law reads
         del params[key]
-    law = law_type(params["lambda"], *(params[key] for key in rates))
+    law = dist.GigParams(sign * params["lambda"], params.get("a", 0.0), params.get("b", 0.0))
     values = dist.sample(law, seed, params["n"])
     write_csv(out, "dist-sample", seed, params, ("value",),
               ((v,) for v in values))

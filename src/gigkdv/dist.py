@@ -1,4 +1,4 @@
-"""GIG, Gamma and inverse-Gamma laws on (0, inf).
+"""GIG laws on (0, inf), with the Gamma and inverse-Gamma laws as zero rates.
 
 Densities are normalized in log space through `specfun`.  The CDFs of the
 two limit families are the regularized incomplete gamma functions; the GIG
@@ -10,12 +10,12 @@ reciprocity), and the generator's gamma method for the two limit families.
 
 Parameter convention (density kernels on x > 0):
 
-    GIG(lam, a, b)   ~ x^(lam-1) exp(-a x - b / x),      a, b > 0
-    Gamma(lam, a)    ~ x^(lam-1) exp(-a x),              lam, a > 0
-    InvGamma(lam, b) ~ x^(-lam-1) exp(-b / x),           lam, b > 0
+    GIG(lam, a, b)   ~ x^(lam-1) exp(-a x - b / x),      a, b >= 0
 
-Gamma and InvGamma are the weak limits of the GIG for b -> 0 and a -> 0;
-they are separate variants because the GIG normalizer is singular there.
+A zero rate is the weak limit of the GIG as that rate goes to 0:
+GIG(lam, a, 0) is Gamma(lam, a), which needs lam > 0, and GIG(lam, 0, b) is
+InvGamma(-lam, b) ~ x^(lam-1) exp(-b / x), which needs lam < 0.  The GIG
+normalizer is singular there, so these laws keep their closed forms.
 """
 
 import math
@@ -30,10 +30,6 @@ from .rng import rng_stream
 
 __all__ = [
     "GigParams",
-    "GammaParams",
-    "InvGammaParams",
-    "MarginalLaw",
-    "make_law",
     "log_pdf",
     "cdf",
     "ext_laplace",
@@ -47,7 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GigParams:
-    """Order and rates of a GIG law; strict interior (a, b > 0)."""
+    """Order and rates of a GIG law, a, b >= 0; b = 0 is Gamma(lam, a) and
+    a = 0 is InvGamma(-lam, b) (see the module docstring)."""
 
     lam: float
     a: float
@@ -56,74 +53,35 @@ class GigParams:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.lam, self.a, self.b))):
             raise DomainError("GIG parameters must be finite")
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise DomainError(f"GIG requires a > 0 and b > 0, got a={self.a}, b={self.b}")
+        if self.a < 0.0 or self.b < 0.0 or self.a == self.b == 0.0:
+            raise DomainError(f"GIG requires a, b >= 0, not both zero, got a={self.a}, "
+                              f"b={self.b}")
+        if self.b == 0.0 and not self.lam > 0.0:
+            raise DomainError(f"the Gamma limit (b = 0) requires lam > 0, got lam={self.lam}")
+        if self.a == 0.0 and not self.lam < 0.0:
+            raise DomainError(
+                f"the inverse-Gamma limit (a = 0) requires lam < 0, got lam={self.lam}")
 
 
-@dataclass(frozen=True)
-class GammaParams:
-    lam: float
-    a: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lam < math.inf and 0.0 < self.a < math.inf):
-            raise DomainError(f"Gamma requires finite lam > 0 and a > 0, got {self}")
-
-
-@dataclass(frozen=True)
-class InvGammaParams:
-    lam: float
-    b: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lam < math.inf and 0.0 < self.b < math.inf):
-            raise DomainError(f"InvGamma requires finite lam > 0 and b > 0, got {self}")
-
-
-MarginalLaw = GigParams | GammaParams | InvGammaParams
-
-
-def make_law(lam: float, a: float, b: float) -> MarginalLaw:
-    """GIG(lam, a, b) with zero rates mapped to the limit families.
-
-    a == 0 yields InvGamma(-lam, b) (needs lam < 0), b == 0 yields
-    Gamma(lam, a) (needs lam > 0); both zero is rejected.
-    """
-    if a < 0.0 or b < 0.0:
-        raise DomainError("rates must be >= 0")
-    if a == 0.0 and b == 0.0:
-        raise DomainError("a and b cannot both be zero")
-    if a == 0.0:
-        return InvGammaParams(-lam, b)
-    if b == 0.0:
-        return GammaParams(lam, a)
-    return GigParams(lam, a, b)
-
-
-def _log_norm(law: MarginalLaw) -> float:
+def _log_norm(law: GigParams) -> float:
     # log of the density's normalizing constant (the multiplier, not its
     # reciprocal)
-    if isinstance(law, GigParams):
-        return (0.5 * law.lam * (math.log(law.a) - math.log(law.b))
-                - math.log(2.0)
-                - specfun.bessel_k_log(law.lam, 2.0 * math.sqrt(law.a * law.b)))
-    if isinstance(law, GammaParams):
+    if law.b == 0.0:
         return law.lam * math.log(law.a) - specfun.log_gamma(law.lam)
-    return law.lam * math.log(law.b) - specfun.log_gamma(law.lam)
+    if law.a == 0.0:
+        return -law.lam * math.log(law.b) - specfun.log_gamma(-law.lam)
+    return (0.5 * law.lam * (math.log(law.a) - math.log(law.b))
+            - math.log(2.0)
+            - specfun.bessel_k_log(law.lam, 2.0 * math.sqrt(law.a * law.b)))
 
 
-def log_pdf(law: MarginalLaw, x) -> float | np.ndarray:
+def log_pdf(law: GigParams, x) -> float | np.ndarray:
     """Log of the normalized density at x > 0."""
     xv = np.asarray(x, dtype=float)
     if np.any(xv <= 0.0) or not np.all(np.isfinite(xv)):
         raise DomainError("log_pdf requires x > 0")
-    t = np.log(xv)
-    if isinstance(law, GigParams):
-        out = _log_norm(law) + (law.lam - 1.0) * t - law.a * xv - law.b / xv
-    elif isinstance(law, GammaParams):
-        out = _log_norm(law) + (law.lam - 1.0) * t - law.a * xv
-    else:
-        out = _log_norm(law) + (-law.lam - 1.0) * t - law.b / xv
+    # a zero rate's term is an exact 0
+    out = _log_norm(law) + (law.lam - 1.0) * np.log(xv) - law.a * xv - law.b / xv
     return float(out) if out.ndim == 0 else out
 
 
@@ -199,11 +157,11 @@ def _panel_integrals(law: GigParams, edges: np.ndarray, width: float) -> np.ndar
     return out
 
 
-def cdf(law: MarginalLaw, x) -> float | np.ndarray:
+def cdf(law: GigParams, x) -> float | np.ndarray:
     """P(X <= x), monotone in x; vectorized over an array of query points.
 
-    Gamma(lam, a) and InvGamma(lam, b) are exact: the regularized incomplete
-    gamma functions P(lam, a x) and Q(lam, b / x), whose cost does not
+    The zero-rate laws are exact: the regularized incomplete gamma functions
+    P(lam, a x) for b = 0 and Q(-lam, b / x) for a = 0, whose cost does not
     depend on lam.  The GIG is integrated by quadrature to absolute accuracy
     ~1e-12.
     """
@@ -212,10 +170,10 @@ def cdf(law: MarginalLaw, x) -> float | np.ndarray:
     xs = np.atleast_1d(xv)
     if np.any(xs <= 0.0) or not np.all(np.isfinite(xs)):
         raise DomainError("cdf requires x > 0")
-    if not isinstance(law, GigParams):
+    if law.a == 0.0 or law.b == 0.0:
         with np.errstate(over="ignore"):  # an infinite argument is the exact limit
-            out = (gammainc(law.lam, law.a * xs) if isinstance(law, GammaParams)
-                   else gammaincc(law.lam, law.b / xs))
+            out = (gammainc(law.lam, law.a * xs) if law.b == 0.0
+                   else gammaincc(-law.lam, law.b / xs))
         return float(out[0]) if scalar else out
     # the query points are sorted once and the density is integrated
     # panel-by-panel between consecutive points, the subpanels in
@@ -239,11 +197,11 @@ def cdf(law: MarginalLaw, x) -> float | np.ndarray:
 def ext_laplace_log(law: GigParams, s: float, sigma: float, theta: float) -> float:
     """log E[X^s exp(sigma X + theta / X)] for X ~ GIG(lam, a, b).
 
-    Requires sigma < a and theta < b; the transform is the ratio of two
-    GIG normalizers and evaluates through log Bessel values.
+    Requires a, b > 0, sigma < a and theta < b; the transform is the ratio
+    of two GIG normalizers and evaluates through log Bessel values.
     """
-    if not isinstance(law, GigParams):
-        raise DomainError("ext_laplace is defined for GIG laws")
+    if law.a == 0.0 or law.b == 0.0:
+        raise DomainError(f"ext_laplace requires a, b > 0, got {law}")
     if not (sigma < law.a and theta < law.b):
         raise DomainError(
             f"tilt constraints violated: need sigma < a and theta < b, "
@@ -260,13 +218,9 @@ def ext_laplace(law: GigParams, s: float, sigma: float, theta: float) -> float:
     return math.exp(ext_laplace_log(law, s, sigma, theta))
 
 
-def reciprocal_law(law: MarginalLaw) -> MarginalLaw:
+def reciprocal_law(law: GigParams) -> GigParams:
     """Law of 1/X: GIG(lam,a,b) -> GIG(-lam,b,a); Gamma <-> InvGamma."""
-    if isinstance(law, GigParams):
-        return GigParams(-law.lam, law.b, law.a)
-    if isinstance(law, GammaParams):
-        return InvGammaParams(law.lam, law.a)
-    return GammaParams(law.lam, law.b)
+    return GigParams(-law.lam, law.b, law.a)
 
 
 # ---------------------------------------------------------------------------
@@ -347,18 +301,18 @@ def _sample_gig(law: GigParams, rng: np.random.Generator, n: int) -> np.ndarray:
     return z * math.sqrt(b / a)
 
 
-def draw(law: MarginalLaw, rng: np.random.Generator, n: int) -> np.ndarray:
+def draw(law: GigParams, rng: np.random.Generator, n: int) -> np.ndarray:
     """n i.i.d. draws using an existing generator stream."""
     if n < 1:
         raise DomainError("need n >= 1")
-    if isinstance(law, GigParams):
-        return _sample_gig(law, rng, n)
-    if isinstance(law, GammaParams):
+    if law.b == 0.0:
         return rng.gamma(law.lam, 1.0 / law.a, size=n)
-    return 1.0 / rng.gamma(law.lam, 1.0 / law.b, size=n)
+    if law.a == 0.0:
+        return 1.0 / rng.gamma(-law.lam, 1.0 / law.b, size=n)
+    return _sample_gig(law, rng, n)
 
 
-def sample(law: MarginalLaw, seed: int, n: int, stream: int = 0) -> np.ndarray:
+def sample(law: GigParams, seed: int, n: int, stream: int = 0) -> np.ndarray:
     """n i.i.d. exact draws, deterministic for a given (seed, stream)."""
     return draw(law, rng_stream(seed, stream), n)
 
@@ -398,10 +352,10 @@ def check_battery(seed: int = 20260809, ks_n: int = 100_000):
     lam, rate = 1.2, 0.8
     xs = np.geomspace(0.05, 20.0, 40)
     d_gamma = float(np.max(np.abs(cdf(GigParams(lam, rate, 1e-8), xs)
-                                  - cdf(GammaParams(lam, rate), xs))))
+                                  - cdf(GigParams(lam, rate, 0.0), xs))))
     rows.append(("weak_limit_gamma", d_gamma, 1e-3, d_gamma <= 1e-3))
     d_inv = float(np.max(np.abs(cdf(GigParams(-lam, 1e-8, rate), xs)
-                                - cdf(InvGammaParams(lam, rate), xs))))
+                                - cdf(GigParams(-lam, 0.0, rate), xs))))
     rows.append(("weak_limit_invgamma", d_inv, 1e-3, d_inv <= 1e-3))
 
     # transform vs direct quadrature of the tilted density

@@ -51,9 +51,9 @@ class TestLawAssignment:
     def test_beta_zero_limits(self):
         spec = replace(fdk_spec(lam=0.8, alpha=1.0, beta=0.0), variant="psi")
         _, law_b = balance.input_laws(spec)
-        assert law_b == dist.GammaParams(0.8, 1.0)
+        assert law_b == dist.GigParams(0.8, 1.0, 0.0)
         _, law_t = balance.output_laws(spec)
-        assert law_t == dist.GammaParams(0.8, 1.0)
+        assert law_t == dist.GigParams(0.8, 1.0, 0.0)
 
     def test_type_one_symmetric_point(self):
         # c1 == c2: inputs and outputs share the same laws (type I balance)

@@ -14,19 +14,29 @@ LAWS = [
     dist.GigParams(0.5, 1.0, 1.0),
     dist.GigParams(-2.3, 0.4, 3.0),
     dist.GigParams(3.0, 8.0, 0.2),
-    dist.GammaParams(1.7, 2.2),
-    dist.GammaParams(0.4, 0.9),
-    dist.InvGammaParams(0.9, 1.4),
+    dist.GigParams(1.7, 2.2, 0.0),  # Gamma(1.7, 2.2)
+    dist.GigParams(0.4, 0.9, 0.0),  # Gamma(0.4, 0.9)
+    dist.GigParams(-0.9, 0.0, 1.4),  # InvGamma(0.9, 1.4)
 ]
+
+
+def law_id(law):
+    """Test id of a law; a zero-rate law keeps the id of its limit family
+    (shape and rate), so the ids stay stable."""
+    if law.b == 0.0:
+        return f"GammaParams(lam={law.lam}, a={law.a})"
+    if law.a == 0.0:
+        return f"InvGammaParams(lam={-law.lam}, b={law.b})"
+    return str(law)
 
 
 def quad_integral(law, weight=None, lo=0.0, hi=np.inf):
     """Adaptive-quadrature oracle for integrals of the density."""
     # split at the maximizer of x f(x), where the mass sits
-    if isinstance(law, dist.GammaParams):
+    if law.b == 0.0:
         mode = law.lam / law.a
-    elif isinstance(law, dist.InvGammaParams):
-        mode = law.b / law.lam
+    elif law.a == 0.0:
+        mode = -law.b / law.lam
     else:
         mode = math.exp(dist._weight_mode(law))
 
@@ -48,10 +58,10 @@ class TestLogPdf:
 
     def test_gamma_frozen_example(self):
         want = math.log(9.0 * math.exp(-3.0))
-        assert dist.log_pdf(dist.GammaParams(2.0, 3.0), 1.0) == pytest.approx(
+        assert dist.log_pdf(dist.GigParams(2.0, 3.0, 0.0), 1.0) == pytest.approx(
             want, rel=1e-14)
 
-    @pytest.mark.parametrize("law", LAWS, ids=str)
+    @pytest.mark.parametrize("law", LAWS, ids=law_id)
     def test_density_normalized(self, law):
         assert quad_integral(law) == pytest.approx(1.0, abs=1e-9)
 
@@ -80,10 +90,10 @@ class TestCdf:
 
     def test_exponential_special_case(self):
         xs = np.geomspace(0.01, 10.0, 200)
-        got = dist.cdf(dist.GammaParams(1.0, 2.0), xs)
+        got = dist.cdf(dist.GigParams(1.0, 2.0, 0.0), xs)
         assert np.max(np.abs(got - (1.0 - np.exp(-2.0 * xs)))) <= 1e-10
 
-    @pytest.mark.parametrize("law", LAWS, ids=str)
+    @pytest.mark.parametrize("law", LAWS, ids=law_id)
     def test_matches_quadrature(self, law):
         for x in (0.2, 1.0, 4.0):
             assert dist.cdf(law, x) == pytest.approx(
@@ -107,10 +117,10 @@ class TestCdf:
         xs = np.geomspace(0.05, 20.0, 50)
         lam, rate = 1.2, 0.8
         d = np.abs(dist.cdf(dist.GigParams(lam, rate, 1e-8), xs)
-                   - dist.cdf(dist.GammaParams(lam, rate), xs))
+                   - dist.cdf(dist.GigParams(lam, rate, 0.0), xs))
         assert np.max(d) <= 1e-3
         d = np.abs(dist.cdf(dist.GigParams(-lam, 1e-8, rate), xs)
-                   - dist.cdf(dist.InvGammaParams(lam, rate), xs))
+                   - dist.cdf(dist.GigParams(-lam, 0.0, rate), xs))
         assert np.max(d) <= 1e-3
 
 
@@ -192,8 +202,8 @@ def test_cdf_memory_bounded():
 
 
 @pytest.mark.parametrize("law,oracle", [
-    (dist.GammaParams(1e-6, 0.9), stats.gamma(1e-6, scale=1.0 / 0.9)),
-    (dist.InvGammaParams(1e-6, 1.4), stats.invgamma(1e-6, scale=1.4)),
+    (dist.GigParams(1e-6, 0.9, 0.0), stats.gamma(1e-6, scale=1.0 / 0.9)),
+    (dist.GigParams(-1e-6, 0.0, 1.4), stats.invgamma(1e-6, scale=1.4)),
 ], ids=["gamma", "invgamma"])
 def test_limit_cdf_tiny_shape(law, oracle):
     # quadrature in the log variable needs a window growing like 1/lam,
@@ -262,7 +272,7 @@ class TestTilt:
 
 
 class TestSampling:
-    @pytest.mark.parametrize("law", LAWS, ids=str)
+    @pytest.mark.parametrize("law", LAWS, ids=law_id)
     def test_ks_against_cdf(self, law):
         xs = dist.sample(law, 2026, 30_000)
         assert stats.kstest(xs, lambda v: dist.cdf(law, v)).pvalue > 0.01
@@ -288,7 +298,7 @@ class TestSampling:
         assert stats.kstest(1.0 / xs, lambda v: dist.cdf(rec, v)).pvalue > 0.01
 
     def test_gamma_mean(self):
-        law = dist.GammaParams(1.7, 2.2)
+        law = dist.GigParams(1.7, 2.2, 0.0)
         xs = dist.sample(law, 99, 1_000_000)
         assert abs(xs.mean() - 1.7 / 2.2) <= 4.0 * xs.std() / 1000.0
 
@@ -306,14 +316,18 @@ class TestSampling:
         assert dist.reciprocal_law(law) == law
 
 
-def test_make_law_limits():
-    assert dist.make_law(0.5, 2.0, 1.0) == dist.GigParams(0.5, 2.0, 1.0)
-    assert dist.make_law(0.5, 2.0, 0.0) == dist.GammaParams(0.5, 2.0)
-    assert dist.make_law(-0.5, 0.0, 2.0) == dist.InvGammaParams(0.5, 2.0)
-    with pytest.raises(DomainError):
-        dist.make_law(0.5, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        dist.make_law(-0.5, 2.0, 0.0)  # Gamma limit needs lam > 0
+def test_zero_rate_limits():
+    # a zero rate is the Gamma (b = 0) or inverse-Gamma (a = 0) limit
+    gamma, invgamma = dist.GigParams(0.5, 2.0, 0.0), dist.GigParams(-0.5, 0.0, 2.0)
+    assert dist.reciprocal_law(gamma) == invgamma
+    assert dist.log_pdf(gamma, 1.5) == pytest.approx(
+        stats.gamma(0.5, scale=0.5).logpdf(1.5), rel=1e-14)
+    assert dist.log_pdf(invgamma, 1.5) == pytest.approx(
+        stats.invgamma(0.5, scale=2.0).logpdf(1.5), rel=1e-14)
+    with pytest.raises(DomainError, match="not both zero"):
+        dist.GigParams(0.5, 0.0, 0.0)
+    with pytest.raises(DomainError, match="Gamma limit"):
+        dist.GigParams(-0.5, 2.0, 0.0)  # Gamma limit needs lam > 0
 
 
 def test_check_battery_full():
