@@ -93,6 +93,11 @@ class BalanceSpec:
         else:
             if not (self.c1 > 0.0 and self.c2 > 0.0):
                 raise DomainError("c1, c2 must be > 0")
+            # a zero alpha or beta turns two of the laws into Gamma or
+            # inverse-Gamma limits, which exist for lambda > 0 only
+            zero = [name for name in ("alpha", "beta") if getattr(self.map, name) == 0.0]
+            if zero and not self.lam > 0.0:
+                raise DomainError(f"{zero[0]} = 0 requires lambda > 0, got lambda={self.lam}")
 
     @property
     def r(self) -> int:

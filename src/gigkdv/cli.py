@@ -57,6 +57,13 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise ValueError(f"must be > 0, got {value}")
+    return value
+
+
 def _dimension(text: str) -> int:
     r = int(text)
     if r < 1:
@@ -319,7 +326,7 @@ def _lattice_config(seed, params, args):
     """The lattice of `params`, whose c2 it fills in."""
     if params["c2"] is None:
         params["c2"] = params["c"]
-    boundary = lattice.Replay(args.replay) if args.replay else None
+    boundary = lattice.load_boundary(args.replay) if args.replay else None
     return lattice.stationary_config(
         maps.MapParams(params["alpha"], params["beta"]), params["lambda"],
         params["c"], params["c2"], n_sites=params["n"], horizon=params["t"],
@@ -361,7 +368,7 @@ _A = Param("a", _entries, None, "row-major entries of a (comma separated); "
            "default the identity")
 _B = Param("b", _entries, None, "row-major entries of b; default the identity")
 _LATTICE = (_N, Param("t", int, 20), _ALPHA, _BETA, _LAMBDA,
-            Param("c", float, 1.0), Param("c2", float, None, "default c"), _SEED)
+            Param("c", _positive, 1.0), Param("c2", _positive, None, "default c"), _SEED)
 _REPLAY = (("--replay", {"help": "boundary file to replay"}),)
 
 # (module, action, help, handler, parameter table, flag-only arguments)

@@ -35,7 +35,6 @@ from .maps import MapParams, f_dk
 from .rng import rng_stream
 
 __all__ = [
-    "Replay",
     "LatticeConfig",
     "LatticeFrame",
     "stationary_config",
@@ -49,11 +48,9 @@ __all__ = [
 _BLOCK = 64  # cells per block of the row scan
 
 
-@dataclass(frozen=True)
-class Replay:
-    """Boundary values replayed from a file written by `save_boundary`."""
-
-    path: str
+def _check_boundary(x0, ycol, yref):
+    if not all(np.all((a > 0.0) & np.isfinite(a)) for a in (x0, ycol, yref)):
+        raise DomainError("boundary values must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -63,11 +60,22 @@ class LatticeConfig:
     map: MapParams
     laws: tuple  # ((x law, y law) of even cells, (x law, y law) of odd cells)
     seed: int = 0
-    boundary: Replay | None = None  # None: i.i.d. draws from the laws
+    # (x0, ycol, yref) to replay, as `load_boundary` returns them; None:
+    # i.i.d. draws from the laws
+    boundary: tuple | None = None
 
     def __post_init__(self):
         if self.n_sites < 1 or self.horizon < 1:
             raise DomainError("need n_sites >= 1 and horizon >= 1")
+        if self.boundary is not None:
+            x0, ycol, yref = self.boundary
+            if (len(x0), len(ycol), len(yref)) != (self.n_sites, self.horizon,
+                                                    self.n_sites):
+                raise DomainError(
+                    f"replay sizes (x0 {len(x0)}, ycol {len(ycol)}, yref "
+                    f"{len(yref)}) do not match the config (n {self.n_sites}, "
+                    f"t {self.horizon})")
+            _check_boundary(x0, ycol, yref)
 
 
 @dataclass(frozen=True)
@@ -79,7 +87,7 @@ class LatticeFrame:
 
 def stationary_config(map: MapParams, lam: float, c1: float, c2: float,
                       n_sites: int, horizon: int, seed: int = 0,
-                      boundary: Replay | None = None) -> LatticeConfig:
+                      boundary: tuple | None = None) -> LatticeConfig:
     """Boundary laws of the stationary lattice measure.
 
     Even-parity cells carry the input laws of the fdk `BalanceSpec`
@@ -112,22 +120,17 @@ def _parity_draws(laws, indices: np.ndarray, rng_even, rng_odd):
 def _boundary_arrays(config: LatticeConfig):
     """(x row at t=0, y column for t=1..T, reference y row at t=0)."""
     if config.boundary is not None:
-        x0, ycol, yref = load_boundary(config.boundary.path)
-        if (len(x0), len(ycol), len(yref)) != (config.n_sites, config.horizon,
-                                                config.n_sites):
-            raise DomainError(
-                f"replay sizes (x0 {len(x0)}, ycol {len(ycol)}, yref "
-                f"{len(yref)}) do not match the config (n {config.n_sites}, "
-                f"t {config.horizon})")
-        return x0, ycol, yref
+        return config.boundary
     n_idx = np.arange(1, config.n_sites + 1)
     t_idx = np.arange(1, config.horizon + 1)
     x_laws, y_laws = zip(*config.laws)  # (even, odd) per field
-    return tuple(  # x0 on streams 10/11, ycol on 12/13, yref on 14/15
+    arrays = tuple(  # x0 on streams 10/11, ycol on 12/13, yref on 14/15
         _parity_draws(laws, idx, rng_stream(config.seed, stream),
                       rng_stream(config.seed, stream + 1))
         for laws, idx, stream in ((x_laws, n_idx, 10), (y_laws, t_idx, 12),
                                   (y_laws, n_idx, 14)))
+    _check_boundary(*arrays)  # a draw can underflow to 0 or overflow
+    return arrays
 
 
 def save_boundary(path, x0: np.ndarray, ycol: np.ndarray, yref: np.ndarray):
@@ -213,7 +216,7 @@ def _row(config: LatticeConfig, x_prev: np.ndarray, y_entry: float, t: int):
         except DomainError:  # the cells' x are in range, so a carrier left it
             raise _out_of_range(t) from None
     x, y = u.ravel()[:n], v.ravel()[:n]
-    # with alpha or beta = 0 the values themselves can grow past the range
+    # f_dk passes an image that underflows to 0 (beta / alpha far from 1)
     if not (min(x.min(), y.min()) > 0.0 and max(x.max(), y.max()) < np.inf):
         raise _out_of_range(t)
     # the scanned carrier entering each block equals the last cell before it
@@ -236,8 +239,6 @@ def evolve(config: LatticeConfig):
     identical configs (same seed) produce bit-identical streams.
     """
     x0, ycol, yref = _boundary_arrays(config)
-    if not all(np.all((a > 0.0) & np.isfinite(a)) for a in (x0, ycol, yref)):
-        raise DomainError("boundary values must be finite and > 0")
     yield LatticeFrame(0, x0.copy(), yref.copy())
     x = x0
     for t in range(1, config.horizon + 1):

@@ -53,18 +53,29 @@ def _check_pair(x, y):
     return x, y
 
 
+def _in_range(name: str, u, v) -> None:
+    if not np.all((u > 0.0) & (u < np.inf) & (v > 0.0) & (v < np.inf)):
+        raise DomainError(f"the {name} image leaves the floating-point range")
+
+
 def f_dk(p: MapParams, xy):
     """Apply the cell involution to (x, y); accepts scalars or arrays.
 
     The product of the coordinates is conserved exactly up to round-off.
+    An image found outside the floating-point range raises DomainError:
+    with alpha or beta = 0 every image is checked, otherwise those past an
+    overflow of an intermediate (an underflow to 0 passes unseen there).
     """
     x, y = _check_pair(*xy)
-    if p.beta == 0.0:
-        w = p.alpha * x * y + 1.0
-        u, v = y / w, x * w
-    elif p.alpha == 0.0:
-        w = p.beta * x * y + 1.0
-        u, v = y * w, x / w
+    if p.alpha == 0.0 or p.beta == 0.0:
+        with np.errstate(over="ignore"):  # checked below
+            if p.beta == 0.0:
+                w = p.alpha * x * y + 1.0
+                u, v = y / w, x * w
+            else:
+                w = p.beta * x * y + 1.0
+                u, v = y * w, x / w
+        _in_range("f_dk", u, v)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             xy_ = x * y
@@ -74,10 +85,12 @@ def f_dk(p: MapParams, xy):
         ok = np.isfinite(u) & np.isfinite(v)
         if not np.all(ok):
             # an intermediate overflowed; the ratio wb / wa lies between 1
-            # and beta / alpha, and in this form no term can overflow
+            # and beta / alpha, and in this form only the image itself can
             t, q = np.minimum(xy_, 1.0), 1.0 / np.maximum(xy_, 1.0)
             ratio = (p.beta * t + q) / (p.alpha * t + q)
-            u, v = np.where(ok, u, y * ratio), np.where(ok, v, x / ratio)
+            with np.errstate(over="ignore"):  # checked below
+                u, v = np.where(ok, u, y * ratio), np.where(ok, v, x / ratio)
+            _in_range("f_dk", u, v)
     if np.ndim(u) == 0:
         return float(u), float(v)
     return u, v
@@ -86,27 +99,30 @@ def f_dk(p: MapParams, xy):
 def psi(p: MapParams, ab):
     """Conjugated involution ((1/b)(beta a + b)/(alpha a + b), (1/a)(...)).
 
-    Equals I2^-1 o f_dk o I2 with I2(x, y) = (x, 1/y), pointwise.
+    Equals I2^-1 o f_dk o I2 with I2(x, y) = (x, 1/y), pointwise.  An image
+    that leaves the floating-point range raises DomainError.
     """
     a, b = _check_pair(*ab)
-    if p.beta == 0.0:
-        w = p.alpha * a + b
-        s, t = 1.0 / w, b / (a * w)
-    elif p.alpha == 0.0:
-        w = p.beta * a + b
-        s, t = w / (b * b), w / (a * b)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
+        if p.beta == 0.0:
+            w = p.alpha * a + b
+            s, t = 1.0 / w, b / (a * w)
+        elif p.alpha == 0.0:
+            w = p.beta * a + b
+            s, t = w / (b * b), w / (a * b)
+        else:
             num, den = p.beta * a + b, p.alpha * a + b
             w = num / den
-        ok = np.isfinite(num) & np.isfinite(den)
-        if not np.all(ok):
-            # beta a + b or alpha a + b overflowed; scaled by max(a, b) both
-            # lie in (0, 1 + max(alpha, beta)], and their ratio is the same
-            top = np.maximum(a, b)
-            w = np.where(ok, w, (p.beta * (a / top) + b / top)
-                         / (p.alpha * (a / top) + b / top))
-        s, t = w / b, w / a
+            ok = np.isfinite(num) & np.isfinite(den)
+            if not np.all(ok):
+                # beta a + b or alpha a + b overflowed; scaled by max(a, b)
+                # both lie in (0, 1 + max(alpha, beta)], and their ratio is
+                # the same
+                top = np.maximum(a, b)
+                w = np.where(ok, w, (p.beta * (a / top) + b / top)
+                             / (p.alpha * (a / top) + b / top))
+            s, t = w / b, w / a
+    _in_range("psi", s, t)
     if np.ndim(s) == 0:
         return float(s), float(t)
     return s, t

@@ -94,6 +94,25 @@ class TestDistSample:
         assert header.split("seed=0")[1].startswith(rates)
         assert header.count("=") == 5 + rates.count("=")
 
+    def test_zero_rate_is_the_limit_law(self, capsys, monkeypatch):
+        # GIG(-0.5, 0, 1) is InvGamma(0.5, 1), and GIG(2, 3, 0) is Gamma(2, 3)
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        draws = []
+        for argv in (["--law", "gig", "--a", "0", "--lambda", "-0.5"],
+                     ["--law", "invgamma", "--lambda", "0.5"],
+                     ["--law", "gig", "--b", "0", "--a", "3", "--lambda", "2"],
+                     ["--law", "gamma", "--a", "3", "--lambda", "2"]):
+            assert run(["dist", "sample", "--n", "5"] + argv) == 0
+            draws.append(capsys.readouterr().out.splitlines()[2:])
+        assert draws[0] == draws[1] and draws[2] == draws[3]
+
+    @pytest.mark.parametrize("law", ["gamma", "invgamma"])
+    def test_limit_law_needs_positive_lambda(self, law, capsys, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        assert run(["dist", "sample", "--law", law, "--lambda", "-1", "--n", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"gigkdv: error: the {law} law needs lambda > 0, got -1.0\n")
+
     def test_reproducible(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["dist", "sample", "--law", "gamma", "--lambda", "2",
@@ -482,6 +501,69 @@ class TestBadInput:
                         "ycol,1,1.0\nyref,1,1.0\nyref,1,1.5\nyref,3,1.0\n")
         assert run(["lattice", "run", "--n", "3", "--t", "1", "--replay", str(path)]) == 2
         assert "row ['yref', '1', '1.5'] needs index 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [
+        "x0,2,1.0\nx0,1,2.0\nx0,3,3.0\nycol,1,1.0\nyref,1,1.0\nyref,2,1.0\nyref,3,1.0\n",
+        "x0,1,1.0\nx0,2,2.0\nycol,1,1.0\nyref,1,1.0\nyref,2,1.0\n",
+        "x0,1,1.0\nx0,2,2.0\nx0,3,3.0\nycol,1,1.0\nycol,2,1.0\n"
+        "yref,1,1.0\nyref,2,1.0\nyref,3,1.0\n",
+        "x0,1,1.0\nx0,2,0.0\nx0,3,3.0\nycol,1,1.0\nyref,1,1.0\nyref,2,1.0\nyref,3,1.0\n",
+    ], ids=["bad-index", "short-file", "size-mismatch", "zero-value"])
+    def test_failed_replay_writes_nothing(self, rows, tmp_path, capsys, monkeypatch):
+        # the boundary file is read and checked before the header is written
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        path = tmp_path / "replay.csv"
+        path.write_text("kind,index,value\n" + rows)
+        assert run(["lattice", "run", "--n", "3", "--t", "1", "--replay", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        MAP_EVAL[:2] + ["--alpha", "1", "--beta", "0", "--x", "1e200", "--y", "1e200"],
+        MAP_EVAL[:2] + ["--alpha", "0", "--beta", "1", "--x", "1e200", "--y", "1e200"],
+        MAP_EVAL[:2] + ["--alpha", "1", "--beta", "1e-300", "--x", "1e300", "--y", "1e-30"],
+        MAP_EVAL[:2] + ["--alpha", "1", "--beta", "2", "--x", "1e300", "--y", "1e-320",
+                        "--psi"],
+    ], ids=["fdk-beta-zero", "fdk-alpha-zero", "fdk-overflow", "psi"])
+    def test_map_image_out_of_range(self, argv, capsys, monkeypatch):
+        # these images once printed as 0.0 or inf, with exit 0
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gigkdv: error: the ") and err.count("\n") == 1
+        assert err.endswith("image leaves the floating-point range\n")
+
+    @pytest.mark.parametrize("argv,where,value", [
+        (LATTICE + ["--c", "0"], "--c", "0.0"),
+        (LATTICE + ["--c2", "-1"], "--c2", "-1.0"),
+        (_config_key("c=-2"), "c.cfg: c", "-2.0"),
+        (_config_key("c2=0", ["lattice", "run", "--n", "3", "--t", "1"]), "c.cfg: c2", "0.0"),
+    ], ids=["flag-c", "flag-c2", "config-c", "config-c2"])
+    def test_lattice_scale_is_named(self, argv, where, value, tmp_path, capsys,
+                                    monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        if callable(argv):
+            argv = argv(tmp_path)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
+        assert err.endswith(f"{where}: must be > 0, got {value}\n")
+
+    @pytest.mark.parametrize("argv,zero", [
+        (VERIFY_FDK + ["--beta", "0", "--lambda", "-0.5"], "beta"),
+        (VERIFY_PSI + ["--alpha", "0", "--lambda", "-0.5"], "alpha"),
+        (["lattice", "run", "--n", "3", "--t", "1", "--beta", "0", "--lambda", "-0.5"],
+         "beta"),
+    ], ids=["fdk", "psi", "lattice"])
+    def test_limit_law_needs_positive_lambda(self, argv, zero, capsys, monkeypatch):
+        # alpha = 0 or beta = 0 turns a law into its Gamma or inverse-Gamma
+        # limit, which exists for lambda > 0 only
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"gigkdv: error: {zero} = 0 requires lambda > 0, got lambda=-0.5\n")
 
     def test_tiny_replay_value_leaves_the_range(self, tmp_path, capsys, monkeypatch):
         # past x0 = 5e-324 a carrier underflows to 0: the row leaves the
