@@ -320,14 +320,19 @@ def test_zero_rate_limits():
     # a zero rate is the Gamma (b = 0) or inverse-Gamma (a = 0) limit
     gamma, invgamma = dist.GigParams(0.5, 2.0, 0.0), dist.GigParams(-0.5, 0.0, 2.0)
     assert dist.reciprocal_law(gamma) == invgamma
+    assert dist.reciprocal_law(dist.GigParams(0.5, 2.0, 1.0)) == dist.GigParams(-0.5, 1.0, 2.0)
     assert dist.log_pdf(gamma, 1.5) == pytest.approx(
         stats.gamma(0.5, scale=0.5).logpdf(1.5), rel=1e-14)
     assert dist.log_pdf(invgamma, 1.5) == pytest.approx(
         stats.invgamma(0.5, scale=2.0).logpdf(1.5), rel=1e-14)
     with pytest.raises(DomainError, match="not both zero"):
         dist.GigParams(0.5, 0.0, 0.0)
-    with pytest.raises(DomainError, match="Gamma limit"):
-        dist.GigParams(-0.5, 2.0, 0.0)  # Gamma limit needs lam > 0
+    with pytest.raises(DomainError, match="the Gamma limit"):
+        dist.GigParams(-0.5, 2.0, 0.0)
+    with pytest.raises(DomainError, match="inverse-Gamma limit"):
+        dist.GigParams(0.5, 0.0, 2.0)
+    with pytest.raises(DomainError, match="a, b >= 0"):
+        dist.GigParams(0.5, -1.0, 2.0)
 
 
 def test_check_battery_full():
