@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc
 
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, positive
 from .rng import rng_stream
 
 __all__ = [
@@ -77,9 +77,7 @@ def _log_norm(law: GigParams) -> float:
 
 def log_pdf(law: GigParams, x) -> float | np.ndarray:
     """Log of the normalized density at x > 0."""
-    xv = np.asarray(x, dtype=float)
-    if np.any(xv <= 0.0) or not np.all(np.isfinite(xv)):
-        raise DomainError("log_pdf requires x > 0")
+    xv = positive("log_pdf requires x > 0", x)
     # a zero rate's term is an exact 0
     out = _log_norm(law) + (law.lam - 1.0) * np.log(xv) - law.a * xv - law.b / xv
     return float(out) if out.ndim == 0 else out
@@ -165,11 +163,9 @@ def cdf(law: GigParams, x) -> float | np.ndarray:
     depend on lam.  The GIG is integrated by quadrature to absolute accuracy
     ~1e-12.
     """
-    xv = np.asarray(x, dtype=float)
+    xv = positive("cdf requires x > 0", x)
     scalar = xv.ndim == 0
     xs = np.atleast_1d(xv)
-    if np.any(xs <= 0.0) or not np.all(np.isfinite(xs)):
-        raise DomainError("cdf requires x > 0")
     if law.a == 0.0 or law.b == 0.0:
         with np.errstate(over="ignore"):  # an infinite argument is the exact limit
             out = (gammainc(law.lam, law.a * xs) if law.b == 0.0
@@ -263,15 +259,23 @@ def _gig_envelope(lam_abs: float, omega: float):
     return psi, (p, q, r, t, s, t_shift, s_shift, eta, zeta, vartheta, xi)
 
 
+def _outside(law: GigParams) -> str:
+    return f"{law} lies outside the sampler's floating-point range"
+
+
 def _sample_gig(law: GigParams, rng: np.random.Generator, n: int) -> np.ndarray:
     lam, a, b = law.lam, law.a, law.b
     lam_abs = abs(lam)
     omega = 2.0 * math.sqrt(a * b)
-    # where a b underflows or the envelope overflows to nan, the acceptance
-    # test below would fail forever
-    psi, consts = _gig_envelope(lam_abs, omega) if omega > 0.0 else (None, [math.nan])
-    if not all(map(math.isfinite, consts)):
-        raise DomainError(f"{law} lies outside the sampler's floating-point range")
+    # where a b underflows or the setup leaves the floating-point range,
+    # the acceptance test below would fail forever
+    try:
+        psi, consts = _gig_envelope(lam_abs, omega)
+        mode_shift = lam_abs / omega + math.sqrt(1.0 + (lam_abs / omega) ** 2)
+    except (ZeroDivisionError, OverflowError):  # a divisor underflowed, a power overflowed
+        raise DomainError(_outside(law)) from None
+    if not all(map(math.isfinite, (*consts, mode_shift))):
+        raise DomainError(_outside(law))
     p, q, r, t, s, t_shift, s_shift, eta, zeta, vartheta, xi = consts
 
     out = np.empty(n)
@@ -294,22 +298,26 @@ def _sample_gig(law: GigParams, rng: np.random.Generator, n: int) -> np.ndarray:
         out[filled:filled + k] = cand[accept]
         filled += k
 
-    mode_shift = lam_abs / omega + math.sqrt(1.0 + (lam_abs / omega) ** 2)
-    z = np.exp(out) * mode_shift
-    if lam < 0.0:
-        z = 1.0 / z
-    return z * math.sqrt(b / a)
+    with np.errstate(over="ignore", invalid="ignore"):  # `draw` checks the draws
+        z = np.exp(out) * mode_shift
+        if lam < 0.0:
+            z = 1.0 / z
+        return z * math.sqrt(b / a)
 
 
 def draw(law: GigParams, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. draws using an existing generator stream."""
+    """n i.i.d. draws using an existing generator stream; a draw outside
+    (0, inf) raises DomainError."""
     if n < 1:
         raise DomainError("need n >= 1")
     if law.b == 0.0:
-        return rng.gamma(law.lam, 1.0 / law.a, size=n)
-    if law.a == 0.0:
-        return 1.0 / rng.gamma(-law.lam, 1.0 / law.b, size=n)
-    return _sample_gig(law, rng, n)
+        out = rng.gamma(law.lam, 1.0 / law.a, size=n)
+    elif law.a == 0.0:
+        with np.errstate(divide="ignore"):  # checked below
+            out = 1.0 / rng.gamma(-law.lam, 1.0 / law.b, size=n)
+    else:
+        out = _sample_gig(law, rng, n)
+    return positive(_outside(law), out)
 
 
 def sample(law: GigParams, seed: int, n: int, stream: int = 0) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, positive
 
 __all__ = [
     "MapParams",
@@ -45,55 +45,38 @@ class MapParams:
             raise DomainError("alpha != beta required (the map degenerates)")
 
 
-def _check_pair(x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (np.all((x > 0.0) & (x < np.inf)) and np.all((y > 0.0) & (y < np.inf))):
-        raise DomainError("coordinates must be finite and > 0")
-    return x, y
-
-
-def _in_range(name: str, u, v) -> None:
-    if not np.all((u > 0.0) & (u < np.inf) & (v > 0.0) & (v < np.inf)):
-        raise DomainError(f"the {name} image leaves the floating-point range")
+_COORDINATES = "coordinates must be finite and > 0"
 
 
 def f_dk(p: MapParams, xy):
     """Apply the cell involution to (x, y); accepts scalars or arrays.
 
     The product of the coordinates is conserved exactly up to round-off.
-    An image found outside the floating-point range raises DomainError:
-    with alpha or beta = 0 every image is checked, otherwise those past an
-    overflow of an intermediate (an underflow to 0 passes unseen there).
+    An image outside the floating-point range, overflowed or underflowed
+    to 0, raises DomainError.
     """
-    x, y = _check_pair(*xy)
-    if p.alpha == 0.0 or p.beta == 0.0:
-        with np.errstate(over="ignore"):  # checked below
-            if p.beta == 0.0:
-                w = p.alpha * x * y + 1.0
-                u, v = y / w, x * w
-            else:
-                w = p.beta * x * y + 1.0
-                u, v = y * w, x / w
-        _in_range("f_dk", u, v)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
+    x, y = positive(_COORDINATES, *xy)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if p.beta == 0.0:
+            w = p.alpha * x * y + 1.0
+            u, v = y / w, x * w
+        elif p.alpha == 0.0:
+            w = p.beta * x * y + 1.0
+            u, v = y * w, x / w
+        else:
             xy_ = x * y
             wa = p.alpha * xy_ + 1.0
             wb = p.beta * xy_ + 1.0
             u, v = y * wb / wa, x * wa / wb
-        ok = np.isfinite(u) & np.isfinite(v)
-        if not np.all(ok):
-            # an intermediate overflowed; the ratio wb / wa lies between 1
-            # and beta / alpha, and in this form only the image itself can
-            t, q = np.minimum(xy_, 1.0), 1.0 / np.maximum(xy_, 1.0)
-            ratio = (p.beta * t + q) / (p.alpha * t + q)
-            with np.errstate(over="ignore"):  # checked below
+            ok = np.isfinite(u) & np.isfinite(v)
+            if not np.all(ok):
+                # an intermediate overflowed; the ratio wb / wa lies between 1
+                # and beta / alpha, and in this form only the image itself can
+                t, q = np.minimum(xy_, 1.0), 1.0 / np.maximum(xy_, 1.0)
+                ratio = (p.beta * t + q) / (p.alpha * t + q)
                 u, v = np.where(ok, u, y * ratio), np.where(ok, v, x / ratio)
-            _in_range("f_dk", u, v)
-    if np.ndim(u) == 0:
-        return float(u), float(v)
-    return u, v
+    u, v = positive("the f_dk image leaves the floating-point range", u, v)
+    return (float(u), float(v)) if u.ndim == 0 else (u, v)
 
 
 def psi(p: MapParams, ab):
@@ -102,7 +85,7 @@ def psi(p: MapParams, ab):
     Equals I2^-1 o f_dk o I2 with I2(x, y) = (x, 1/y), pointwise.  An image
     that leaves the floating-point range raises DomainError.
     """
-    a, b = _check_pair(*ab)
+    a, b = positive(_COORDINATES, *ab)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # checked below
         if p.beta == 0.0:
             w = p.alpha * a + b
@@ -122,10 +105,8 @@ def psi(p: MapParams, ab):
                 w = np.where(ok, w, (p.beta * (a / top) + b / top)
                              / (p.alpha * (a / top) + b / top))
             s, t = w / b, w / a
-    _in_range("psi", s, t)
-    if np.ndim(s) == 0:
-        return float(s), float(t)
-    return s, t
+    s, t = positive("the psi image leaves the floating-point range", s, t)
+    return (float(s), float(t)) if s.ndim == 0 else (s, t)
 
 
 def psi_identities(p: MapParams, ab):
@@ -135,7 +116,7 @@ def psi_identities(p: MapParams, ab):
     b + alpha a = 1/s + beta/t.  Returns the three residuals, each scaled
     by the magnitude of its right-hand side.
     """
-    a, b = _check_pair(*ab)
+    a, b = positive(_COORDINATES, *ab)
     s, t = psi(p, (a, b))
     r1 = (s / t - a / b) / (a / b)
     rhs2 = 1.0 / a + p.beta / b
@@ -153,7 +134,7 @@ def jacobian_det(p: MapParams, xy):
     Step h = 1e-6 * max(1, |coordinate|) per coordinate.  The exact value
     is -1 on the whole domain.
     """
-    x, y = _check_pair(*xy)
+    x, y = positive(_COORDINATES, *xy)
     hx = 1e-6 * np.maximum(1.0, np.abs(x))
     hy = 1e-6 * np.maximum(1.0, np.abs(y))
     uxp, vxp = f_dk(p, (x + hx, y))

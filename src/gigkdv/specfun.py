@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, ive, kve
 
-from .errors import DomainError
+from .errors import DomainError, positive
 
 __all__ = [
     "bessel_k",
@@ -42,18 +42,11 @@ _LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 def log_gamma(x):
     """log Gamma(x) for x > 0 (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise DomainError("log_gamma requires x > 0 and finite")
-    out = gammaln(x)
+    out = gammaln(positive("log_gamma requires x > 0 and finite", x))
     return float(out) if out.ndim == 0 else out
 
 
-def _validate_z(z):
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)) or np.any(z <= 0.0):
-        raise DomainError("Bessel argument must be finite and > 0")
-    return z
+_BESSEL_Z = "Bessel argument must be finite and > 0"
 
 
 def bessel_k_log(nu: float, z) -> float | np.ndarray:
@@ -66,7 +59,7 @@ def bessel_k_log(nu: float, z) -> float | np.ndarray:
     if not math.isfinite(nu):
         raise DomainError("Bessel order must be finite")
     nu = abs(nu)  # K_{-nu} = K_nu
-    z = _validate_z(z)
+    z = positive(_BESSEL_Z, z)
     scalar = z.ndim == 0
     zv = np.atleast_1d(z)
     with np.errstate(over="ignore", divide="ignore"):
@@ -100,7 +93,7 @@ def bessel_i_log(nu: float, z) -> float | np.ndarray:
     """
     if not math.isfinite(nu):
         raise DomainError("Bessel order must be finite")
-    z = _validate_z(z)
+    z = positive(_BESSEL_Z, z)
     scalar = z.ndim == 0
     zv = np.atleast_1d(z)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -126,7 +119,7 @@ def bessel_i(nu: float, z) -> float | np.ndarray:
     """
     if not math.isfinite(nu):
         raise DomainError("Bessel order must be finite")
-    z = _validate_z(z)
+    z = positive(_BESSEL_Z, z)
     scalar = z.ndim == 0
     zv = np.atleast_1d(z)
     with np.errstate(over="ignore"):

@@ -306,6 +306,10 @@ class TestSampling:
         dist.GigParams(0.5, 1e308, 1.0),   # omega^2 overflows: nan envelope
         dist.GigParams(-2.0, 1.0, 1e308),
         dist.GigParams(0.5, 1e-200, 1e-200),  # omega underflows to 0
+        dist.GigParams(1.0, 1e-320, 1.0),  # alpha ** 2 underflows to 0
+        dist.GigParams(-1e308, 1.0, 1.0),  # the mode shift overflows
+        dist.GigParams(1.0, 1e-320, 0.0),  # the Gamma draws overflow
+        dist.GigParams(-1.0, 0.0, 1e-320),  # the inverse-Gamma draws underflow
     ], ids=str)
     def test_out_of_range_rejected(self, law):
         with pytest.raises(DomainError, match="floating-point range"):
