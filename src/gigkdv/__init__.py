@@ -2,5 +2,5 @@
 
 __version__ = "0.1.0"
 
-from . import balance, cli, dist, lattice, maps, matrix, specfun  # noqa: F401
+from . import balance, dist, lattice, maps, matrix, specfun  # noqa: F401
 from .errors import DomainError, IllConditionedError, NotSpdError  # noqa: F401

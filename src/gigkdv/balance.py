@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import dist, matrix
-from .errors import DomainError
+from .errors import DomainError, positive
 from .maps import MapParams, f_dk, psi
 from .rng import rng_stream
 from .specfun import bessel_k_log
@@ -587,6 +587,8 @@ def machinery_check(spec: BalanceSpec, s: float, sigma: float, theta: float,
     al, be = spec.map.alpha, spec.map.beta
     if be == 0.0 or al == 0.0:
         raise DomainError("closed forms need alpha, beta > 0")
+    if n < 2:
+        raise DomainError(f"a standard error needs n >= 2, got n={n}")
     law_a, law_b = input_laws(spec)
 
     rng1, rng2 = rng_stream(seed, 5), rng_stream(seed, 6)
@@ -594,22 +596,25 @@ def machinery_check(spec: BalanceSpec, s: float, sigma: float, theta: float,
     a2, b2 = dist.draw(law_a, rng2, n), dist.draw(law_b, rng2, n)
     s_img, t_img = psi(spec.map, (a2, b2))
 
-    lhs_sample = a1 ** (-s) * b1 ** s * np.exp(
-        sigma * (b1 + al * a1) + theta * (1.0 / a1 + be / b1))
-    rhs_sample = s_img ** (-s) * t_img ** s * np.exp(
-        sigma * (1.0 / s_img + be / t_img) + theta * (t_img + al * s_img))
-    lhs, rhs = float(lhs_sample.mean()), float(rhs_sample.mean())
-    se = math.hypot(float(lhs_sample.std()) / math.sqrt(n),
-                    float(rhs_sample.std()) / math.sqrt(n))
-    dev_se = abs(lhs - rhs) / se if se > 0 else 0.0
-
-    transforms = {
-        "x_minus_s": float(np.mean(a1 ** (-s) * np.exp(al * sigma * a1 + theta / a1))),
-        "y_s": float(np.mean(b1 ** s * np.exp(sigma * b1 + be * theta / b1))),
-        "u_minus_s": float(np.mean(s_img ** (-s)
-                                   * np.exp(al * theta * s_img + sigma / s_img))),
-        "v_s": float(np.mean(t_img ** s * np.exp(theta * t_img + be * sigma / t_img))),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        lhs_sample = a1 ** (-s) * b1 ** s * np.exp(
+            sigma * (b1 + al * a1) + theta * (1.0 / a1 + be / b1))
+        rhs_sample = s_img ** (-s) * t_img ** s * np.exp(
+            sigma * (1.0 / s_img + be / t_img) + theta * (t_img + al * s_img))
+        lhs, rhs = float(lhs_sample.mean()), float(rhs_sample.mean())
+        se = math.hypot(float(lhs_sample.std()) / math.sqrt(n),
+                        float(rhs_sample.std()) / math.sqrt(n))
+        transforms = {
+            "x_minus_s": float(np.mean(a1 ** (-s) * np.exp(al * sigma * a1 + theta / a1))),
+            "y_s": float(np.mean(b1 ** s * np.exp(sigma * b1 + be * theta / b1))),
+            "u_minus_s": float(np.mean(s_img ** (-s)
+                                       * np.exp(al * theta * s_img + sigma / s_img))),
+            "v_s": float(np.mean(t_img ** s * np.exp(theta * t_img + be * sigma / t_img))),
+        }
+    # an infinite standard error would pass any |lhs - rhs|
+    out_of_range = (f"the tilt s={s}, sigma={sigma}, theta={theta} leaves the "
+                    "floating-point range")
+    positive(out_of_range, lhs, rhs, se, *transforms.values())
 
     # analytic route: y_s(sg, th) = L_B(s, sg, beta*th), B ~ GIG(lam, c1, beta c2);
     # v_s(sg, th) = L_T(s, th, beta*sg), T ~ GIG(lam, c2, beta c1)
@@ -617,16 +622,20 @@ def machinery_check(spec: BalanceSpec, s: float, sigma: float, theta: float,
     pt2 = (2.0 * sigma, 0.5 * theta - 1.0)
     law_t = dist.GigParams(spec.lam, spec.c2, be * spec.c1)
     r_s = spec.lam + s
-    y_ratio = math.exp(dist.ext_laplace_log(law_b, s, pt1[0], be * pt1[1])
-                       - dist.ext_laplace_log(law_b, s, pt2[0], be * pt2[1]))
-    y_closed = _closed_ratio(r_s, be, spec.c1, spec.c2, pt1, pt2, flip=False)
-    y_form_rel = abs(y_ratio - y_closed) / y_closed
-    v_ratio = math.exp(dist.ext_laplace_log(law_t, s, pt1[1], be * pt1[0])
-                       - dist.ext_laplace_log(law_t, s, pt2[1], be * pt2[0]))
-    v_closed = _closed_ratio(r_s, be, spec.c1, spec.c2, pt1, pt2, flip=True)
-    v_form_rel = abs(v_ratio - v_closed) / v_closed
+    try:
+        y_ratio = math.exp(dist.ext_laplace_log(law_b, s, pt1[0], be * pt1[1])
+                           - dist.ext_laplace_log(law_b, s, pt2[0], be * pt2[1]))
+        y_closed = _closed_ratio(r_s, be, spec.c1, spec.c2, pt1, pt2, flip=False)
+        v_ratio = math.exp(dist.ext_laplace_log(law_t, s, pt1[1], be * pt1[0])
+                           - dist.ext_laplace_log(law_t, s, pt2[1], be * pt2[0]))
+        v_closed = _closed_ratio(r_s, be, spec.c1, spec.c2, pt1, pt2, flip=True)
+    except OverflowError:
+        raise DomainError(out_of_range) from None
+    positive(out_of_range, y_ratio, y_closed, v_ratio, v_closed)
 
     return MachineryResult(
         s=s, sigma=sigma, theta=theta, transforms=transforms,
-        product_lhs=lhs, product_rhs=rhs, product_se=se, product_dev_se=dev_se,
-        y_form_rel=y_form_rel, v_form_rel=v_form_rel)
+        product_lhs=lhs, product_rhs=rhs, product_se=se,
+        product_dev_se=abs(lhs - rhs) / se,
+        y_form_rel=abs(y_ratio - y_closed) / y_closed,
+        v_form_rel=abs(v_ratio - v_closed) / v_closed)

