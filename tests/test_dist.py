@@ -310,6 +310,7 @@ class TestSampling:
         dist.GigParams(-1e308, 1.0, 1.0),  # the mode shift overflows
         dist.GigParams(1.0, 1e-320, 0.0),  # the Gamma draws overflow
         dist.GigParams(-1.0, 0.0, 1e-320),  # the inverse-Gamma draws underflow
+        dist.GigParams(2e154, 1e-154, 1e154),  # the GIG draws overflow
     ], ids=str)
     def test_out_of_range_rejected(self, law):
         with pytest.raises(DomainError, match="floating-point range"):
