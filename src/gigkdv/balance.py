@@ -33,6 +33,7 @@ import numpy as np
 
 from . import dist, matrix
 from .errors import DomainError, positive
+from .ks import ks_1samp, ks_2samp
 from .maps import MapParams, f_dk, psi
 from .rng import rng_stream
 from .specfun import bessel_k_log
@@ -430,8 +431,6 @@ def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
 
     `y_override` replaces the law of the second input (negative controls).
     """
-    from scipy import stats
-
     if n < 1000:
         raise DomainError("need n >= 1000")
     if spec.variant == "matrix":
@@ -449,8 +448,7 @@ def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
     names = ("U", "V") if spec.variant == "fdk" else ("S", "T")
     ks = {}
     for name, data, law in ((names[0], us, law_u), (names[1], vs, law_v)):
-        res = stats.kstest(data, lambda q: dist.cdf(law, q))
-        ks[name] = KsStat(float(res.statistic), float(res.pvalue), n)
+        ks[name] = KsStat(*ks_1samp(data, lambda q: dist.cdf(law, q)), n)
 
     return _verdict(spec, seed, n, ks, (us, vs), 1, transport_grid_max(spec), 1e-9)
 
@@ -462,8 +460,6 @@ def _ess_stride(series: np.ndarray) -> int:
 
 
 def _matrix_balance(spec, seed, n, mcmc):
-    from scipy import stats
-
     law_x, law_y = input_laws(spec)
     law_u, law_v = output_laws(spec)
     runs = {}
@@ -488,9 +484,7 @@ def _matrix_balance(spec, seed, n, mcmc):
             sm = fm[fname][::stride]
             sr = fr[fname][::_ess_stride(fr[fname])]
             max_stride = max(max_stride, stride)
-            res = stats.ks_2samp(sm, sr)
-            ks[f"{key}_{fname}"] = KsStat(float(res.statistic),
-                                          float(res.pvalue), len(sm))
+            ks[f"{key}_{fname}"] = KsStat(*ks_2samp(sm, sr), len(sm))
 
     norm = matrix_normalizers(spec, seed, n=400_000)
     resid = transport_grid_max(spec, grid_n=5, normalizers=norm, seed=seed)

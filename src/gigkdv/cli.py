@@ -21,6 +21,7 @@ the status of a process ended by SIGPIPE.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -335,9 +336,11 @@ def _lattice_config(seed, params, args):
 
 def _cmd_lattice_run(seed, params, args, out):
     cfg = _lattice_config(seed, params, args)
+    frames = lattice.evolve(cfg)
+    first = next(frames)  # the boundary draws, which may fail, before any output
     out.write(_header("lattice-run", seed, params) + "\n")
     out.write("t,n,x,y\n")
-    for frame in lattice.evolve(cfg):
+    for frame in itertools.chain([first], frames):
         for i in range(cfg.n_sites):
             out.write(f"{frame.t},{i + 1},"
                       f"{float(frame.x_row[i])!r},{float(frame.y_row[i])!r}\n")

@@ -440,7 +440,8 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
     frozen so the chain targets the exact stationary law).  Convergence
     diagnostics (acceptance rate within [0.1, 0.6], split-chain Rhat of
     log det X and tr X below 1.05) are attached to the result; failures
-    set `ok = False` rather than raising.
+    set `ok = False` rather than raising.  A kept draw that is not positive
+    definite in floating point raises NotSpdError.
     """
     cfg = mcmc or McmcConfig()
     if -(-n // cfg.chains) < 4:
@@ -499,7 +500,12 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
                 kept[:, k - 1] = x
 
     acc_rate = accepted / (chains * per_chain * cfg.thin)
-    ld = _logdet_spd(kept.reshape(-1, r, r)).reshape(chains, per_chain)
+    try:
+        ld = _logdet_spd(kept.reshape(-1, r, r)).reshape(chains, per_chain)
+    except np.linalg.LinAlgError:
+        # at r >= 22 the chains drift to draws with eigenvalues near 1e-17
+        raise NotSpdError(f"the MGIG chains at r = {r} reached a draw that is not "
+                          "positive definite in floating point") from None
     tr = np.trace(kept, axis1=-2, axis2=-1)
     rhat = {"logdet": _split_rhat(ld), "trace": _split_rhat(tr)}
     ess = {"logdet": _ess(ld), "trace": _ess(tr)}

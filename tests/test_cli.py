@@ -28,6 +28,23 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout == "False\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["balance", "verify", "--variant", "fdk", "--n", "1000"],
+    ["balance", "verify", "--variant", "psi", "--n", "1000"],
+    ["balance", "verify", "--variant", "matrix", "--r", "2", "--n", "1000"],
+    ["lattice", "stationarity", "--n", "40", "--t", "4", "--probes", "2,4"],
+    ["dist", "check"],
+], ids=["fdk", "psi", "matrix", "lattice", "dist"])
+def test_ks_commands_leave_scipy_stats_unloaded(argv):
+    # gigkdv.ks computes the KS tests of these commands without scipy.stats
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys, gigkdv.cli; gigkdv.cli.dispatch(sys.argv[1:]); "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.endswith("\nFalse\n")
+
+
 def test_module_run_matches_dispatch(capsys):
     # `python -m gigkdv.cli` warns on stderr when the package imports cli
     argv = ["map", "eval", "--alpha", "1", "--beta", "2", "--x", "1", "--y", "1"]
@@ -469,6 +486,17 @@ class TestBadInput:
             argv = argv(tmp_path)
         assert run(argv) == 2
         err = capsys.readouterr().err
+        assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "run", "--n", "2", "--t", "1", "--lambda", "1e308"],
+        ["balance", "verify", "--variant", "matrix", "--r", "22", "--n", "1000"],
+    ], ids=["lattice-run-boundary-draws", "matrix-verify-r-22"])
+    def test_fails_before_any_output(self, argv, capsys, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv,key", [

@@ -17,7 +17,7 @@ EXPORTING = [module for info in pkgutil.iter_modules(gigkdv.__path__)
 def test_library_modules_export():
     assert {m.__name__ for m in EXPORTING} >= {
         f"gigkdv.{name}" for name in
-        ("balance", "dist", "lattice", "maps", "matrix", "rng", "specfun")}
+        ("balance", "dist", "ks", "lattice", "maps", "matrix", "rng", "specfun")}
 
 
 @pytest.mark.parametrize("module", EXPORTING, ids=lambda m: m.__name__)
