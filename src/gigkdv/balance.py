@@ -153,7 +153,7 @@ def matrix_normalizers(spec: BalanceSpec, seed: int = 0,
     law_u, law_v = output_laws(spec)
     vals, ses = [], []
     for i, law in enumerate((law_x, law_y, law_u, law_v)):
-        ln, se = matrix.mgig_log_norm(law, seed=seed + i, n=n)
+        ln, se = matrix.mgig_log_norm(law, seed=(seed + i) % 2**64, n=n)
         vals.append(ln)
         ses.append(se)
     return MatrixNormalizers(*vals, se=float(np.sqrt(np.sum(np.square(ses)))))
@@ -465,7 +465,7 @@ def _matrix_balance(spec, seed, n, mcmc):
     runs = {}
     for i, (key, law) in enumerate((("X", law_x), ("Y", law_y),
                                     ("U_ref", law_u), ("V_ref", law_v))):
-        runs[key] = matrix.mgig_sample(law, seed + 17 * i + 1, n, mcmc=mcmc)
+        runs[key] = matrix.mgig_sample(law, (seed + 17 * i + 1) % 2**64, n, mcmc=mcmc)
     us, vs = matrix.f_dk_matrix(spec.map, (runs["X"].draws, runs["Y"].draws))
 
     def functionals(draws):

@@ -330,6 +330,9 @@ def sample(law: GigParams, seed: int, n: int, stream: int = 0) -> np.ndarray:
 # invariant battery (CLI `dist check`)
 # ---------------------------------------------------------------------------
 
+_KS_N = 100_000  # draws per law in the sampler KS battery
+
+
 def _ks_battery_points():
     # 20 distinct shapes (lam, a b): eight mixed ones, then each lam at a b
     # = 1e-4 (near the Gamma or inverse-Gamma limit), 1e-2 and 1e3 in turn
@@ -341,7 +344,7 @@ def _ks_battery_points():
                for i in range(8, 20)])
 
 
-def check_battery(seed: int = 20260809, ks_n: int = 100_000):
+def check_battery(seed: int = 20260809):
     """Invariant rows (test, statistic, threshold, pass) for `dist check`."""
     rows = []
 
@@ -384,7 +387,7 @@ def check_battery(seed: int = 20260809, ks_n: int = 100_000):
     # sampler KS battery
     worst_p = 1.0
     for i, law in enumerate(_ks_battery_points()):
-        xs = sample(law, seed, ks_n, stream=i)
+        xs = sample(law, seed, _KS_N, stream=i)
         _, p = ks_1samp(xs, lambda v: cdf(law, v))
         worst_p = min(worst_p, p)
     rows.append(("sampler_ks_min_p", worst_p, 0.01, worst_p > 0.01))

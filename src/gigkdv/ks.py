@@ -5,18 +5,25 @@ pair of `scipy.stats.kstest(x, cdf)` and `scipy.stats.ks_2samp(a, b)` with
 the default two-sided alternative and `method="auto"`, bit for bit as
 scipy 1.17.1 computes it.  Importing `scipy.stats` costs about 0.7 s, while
 the tests themselves take milliseconds, so the code below is a port of the
-branches that a two-sided test on a 1-D float array reaches:
+branches that gigkdv's two-sided tests on 1-D float arrays reach:
 
 * the null law of the one-sample statistic, scipy's `kstwo.sf`, chooses
   among Ruben-Gambino closed forms, `special.smirnov`, the Durbin matrix
   method in the form of Marsaglia, Tsang & Wang (2003, J. Stat. Softw.
-  8(18)), the Pomeranz recursion and the Pelz-Good expansion, by the rules
-  of Simard & L'Ecuyer (2011, J. Stat. Softw. 39(11));
+  8(18)) and the Pelz-Good expansion, by the rules of Simard & L'Ecuyer
+  (2011, J. Stat. Softw. 39(11));
 * the two-sample null is exact for equal sizes up to 10,000 and
   `kstwo.sf(d, round(n1 n2 / (n1 + n2)))` above 10,000.
 
-scipy computes the exact null for unequal sizes up to 10,000 only in a
-compiled kernel, so that one case still calls `scipy.stats.ks_2samp`.
+Two windows are left to `scipy.stats`, imported there: the one-sample
+null for n <= 140 and n d^2 > 0.754693 (scipy's Pomeranz recursion and
+Miller's tail), and the exact null for unequal sizes up to 10,000 (a
+compiled kernel in scipy).  `ks_1samp` is only called with n >= 1000, no
+fallback of equal sizes lands in the first window (`tests/test_ks.py`),
+and unequal sizes reach it only when one sample has over 10,000 draws and
+the other about 140.  Matrix verdicts with unequal thinned samples (`balance
+verify --variant matrix --r 3`) and `lattice stationarity` with an odd
+`--n` reach the second.
 
 Every numpy call and operand type follows scipy's code: the statistic
 reaches the null law as a 0-d float64 array, as scipy's `np.nditer` hands
@@ -179,10 +186,10 @@ def _kolmogn_sf(n, x):
     if n <= 140:
         if nxsquared <= 0.754693:
             return 1.0 - _kolmogn_dmtw(n, x)
-        if nxsquared <= 4:
-            return 1.0 - _kolmogn_pomeranz(n, x)
-        # Miller's approximation, 2 * smirnov
-        return 2 * special.smirnov(n, x)
+        # the Pomeranz recursion and Miller's tail: see the module docstring
+        from scipy import stats
+
+        return stats.kstwo.sf(x, n)
     if nxsquared >= 370.0:
         return 0.0
     if nxsquared >= 2.2:
@@ -254,89 +261,6 @@ def _kolmogn_dmtw(n, d):
     if expnt != 0:
         p = np.ldexp(p, expnt)
     return np.clip(p, 0.0, 1.0)
-
-
-def _pomeranz_compute_j1j2(i, n, ll, ceilf, roundf):
-    # the nonzero interval of row i
-    if i == 0:
-        j1, j2 = -ll - ceilf - 1, ll + ceilf - 1
-    else:
-        ip1div2, ip1mod2 = divmod(i + 1, 2)
-        if ip1mod2 == 0:  # i is odd
-            if ip1div2 == n + 1:
-                j1, j2 = n - ll - ceilf - 1, n + ll + ceilf - 1
-            else:
-                j1, j2 = ip1div2 - 1 - ll - roundf - 1, ip1div2 + ll - 1 + ceilf - 1
-        else:
-            j1, j2 = ip1div2 - 1 - ll - 1, ip1div2 + ll + roundf - 1
-    return max(j1 + 2, 0), min(j2, n)
-
-
-def _kolmogn_pomeranz(n, x):
-    # Pomeranz's recursion: each of 2n + 1 rows is the previous row
-    # convolved with one of three truncated Poisson weight sequences;
-    # P(D_n <= x) = n! times the last entry.  Two rows are kept, each
-    # with the start index of its few nonzero entries, and rescaled by
-    # 2^128 against underflow.
-    t = n * x
-    ll = int(np.floor(t))
-    f = 1.0 * (t - ll)  # fractional part of t
-    g = min(f, 1.0 - f)
-    ceilf = (1 if f > 0 else 0)
-    roundf = (1 if f > 0.5 else 0)
-    npwrs = 2 * (ll + 1)  # most powers a convolution needs
-    gpower = np.empty(npwrs)  # (g/n)^m / m!
-    twogpower = np.empty(npwrs)  # (2g/n)^m / m!
-    onem2gpower = np.empty(npwrs)  # ((1 - 2g)/n)^m / m!
-
-    gpower[0] = 1.0
-    twogpower[0] = 1.0
-    onem2gpower[0] = 1.0
-    expnt = 0
-    g_over_n, two_g_over_n, one_minus_two_g_over_n = g / n, 2 * g / n, (1 - 2 * g) / n
-    for m in range(1, npwrs):
-        gpower[m] = gpower[m - 1] * g_over_n / m
-        twogpower[m] = twogpower[m - 1] * two_g_over_n / m
-        onem2gpower[m] = onem2gpower[m - 1] * one_minus_two_g_over_n / m
-
-    V0 = np.zeros([npwrs])
-    V1 = np.zeros([npwrs])
-    V1[0] = 1  # first row
-    V0s, V1s = 0, 0  # start indices of the two rows
-
-    j1, j2 = _pomeranz_compute_j1j2(0, n, ll, ceilf, roundf)
-    for i in range(1, 2 * n + 2):
-        k1 = j1
-        V0, V1 = V1, V0
-        V0s, V1s = V1s, V0s
-        V1.fill(0.0)
-        j1, j2 = _pomeranz_compute_j1j2(i, n, ll, ceilf, roundf)
-        if i == 1 or i == 2 * n + 1:
-            pwrs = gpower
-        else:
-            pwrs = (twogpower if i % 2 else onem2gpower)
-        ln2 = j2 - k1 + 1
-        if ln2 > 0:
-            conv = np.convolve(V0[k1 - V0s:k1 - V0s + ln2], pwrs[:ln2])
-            conv_start = j1 - k1
-            conv_len = j2 - j1 + 1
-            V1[:conv_len] = conv[conv_start:conv_start + conv_len]
-            if 0 < np.max(V1) < _EM128:
-                V1 *= _EP128
-                expnt -= _E128
-            V1s = V0s + j1 - k1
-
-    # multiply by n!
-    ans = V1[n - V1s]
-    for m in range(1, n + 1):
-        if np.abs(ans) > _EP128:
-            ans *= _EM128
-            expnt += _E128
-        ans *= m
-
-    if expnt != 0:
-        ans = np.ldexp(ans, expnt)
-    return np.clip(ans, 0.0, 1.0)
 
 
 def _kolmogn_pelz_good(n, x):

@@ -235,6 +235,14 @@ class TestBalanceVerify:
         run(self.ARGV + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_matrix_seed_near_2_64(self, tmp_path):
+        # the chain and normalizer seeds derived from it wrap around 2**64
+        out = tmp_path / "rep.json"
+        seed = 2**64 - 1
+        assert run(["balance", "verify", "--variant", "matrix", "--r", "2",
+                    "--n", "1000", "--seed", str(seed), "--out", str(out)]) in (0, 1)
+        assert json.loads(out.read_text())["seed"] == seed
+
     def test_batch_run(self, tmp_path):
         batch = tmp_path / "batch.txt"
         batch.write_text(

@@ -342,7 +342,7 @@ def test_zero_rate_limits():
 
 def test_check_battery_full():
     # the 20-point sampler battery at its production sample size
-    rows = dist.check_battery(ks_n=100_000)
+    rows = dist.check_battery()
     assert all(bool(r[-1]) for r in rows), rows
 
 

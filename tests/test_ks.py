@@ -109,3 +109,21 @@ class TestTwoSample:
 
     def test_nan_sample_gives_nan(self):
         assert all(np.isnan(ks.ks_2samp([0.1, np.nan], [0.2, 0.3])))
+
+
+def test_equal_size_fallbacks_stay_out_of_the_delegated_window():
+    # ks_2samp(n, n) falls back to the one-sample null at round(n / 2)
+    # draws when the exact sum leaves [0, 1]; the port leaves the window
+    # n <= 140, n d^2 > 0.754693 of that null to scipy.stats, so no such
+    # fallback may land there.  round(n / 2) <= 140 up to n = 281.
+    fallbacks = 0
+    for n in range(1, 282):
+        en = round(float(n) * n / (2.0 * n))
+        assert en <= 140
+        for h in range(1, n + 1):
+            if 0 <= ks._prob_outside_square(n, h) <= 1:
+                continue
+            fallbacks += 1
+            d = h / n
+            assert en * d * d <= 0.754693 or en * d <= 1.0, (n, h)
+    assert fallbacks > 0
