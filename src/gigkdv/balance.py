@@ -223,32 +223,53 @@ _TIE_RTOL = 1e-10
 
 def _dist_matrix(z: np.ndarray) -> np.ndarray:
     # z: (m, d) sample; returns the double-centered distance matrix, built
-    # in blocks of rows whose differences span about _BATCH_CELLS cells
+    # in blocks of rows whose differences span about _BATCH_CELLS cells and
+    # centered in place
     m = len(z)
     d = np.empty((m, m))
     rows = max(1, _BATCH_CELLS // (m * z.shape[1]))
     for s in range(0, m, rows):
         diff = z[s:s + rows, None, :] - z[None, :, :]
         np.sqrt(np.sum(diff * diff, axis=-1), out=d[s:s + rows])
-    return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
+    col, row = d.mean(axis=0, keepdims=True), d.mean(axis=1, keepdims=True)
+    grand = d.mean()
+    d -= col
+    d -= row
+    d += grand
+    return d
 
 
 def _dcor_matrices(u: np.ndarray, v: np.ndarray):
     """Statistic of (u, v[idx]) for rows idx, from the double-centered
-    distance matrices of (m, d) samples; None if a sample is constant."""
-    ca, cb = _dist_matrix(u), _dist_matrix(v)
-    dvar = math.sqrt(max(float((ca * ca).mean()), 0.0)
-                     * max(float((cb * cb).mean()), 0.0))
+    distance matrices of (m, d) samples; None if a sample is constant.
+
+    rows=None gives the observed pairing.  That call overwrites v's matrix,
+    so it comes last.  At most two m x m matrices are held at once: v's is
+    built, squared for its dVar and dropped before u's is built, then built
+    again.  Each permutation is summed over blocks of about _BATCH_CELLS
+    cells of re-indexed rows.
+    """
+    m = len(u)
+    cb = _dist_matrix(v)
+    var_v = float(np.multiply(cb, cb, out=cb).mean())
+    del cb
+    ca = _dist_matrix(u)
+    dvar = math.sqrt(max(float((ca * ca).mean()), 0.0) * max(var_v, 0.0))
     if dvar <= 0.0:
         return None
+    cb = _dist_matrix(v)
+    step = max(1, _BATCH_CELLS // m)
+    blocks = [slice(s, s + step) for s in range(0, m, step)]
 
-    def dcor_of(idx):
-        g = cb.take(idx, 0).take(idx, 1)
-        np.multiply(ca, g, out=g)
-        dcov2 = max(float(g.mean()), 0.0)
-        return math.sqrt(dcov2 / dvar)
+    def dcor_of(rows):
+        if rows is None:
+            dcov2 = max(float(np.multiply(ca, cb, out=cb).mean()), 0.0)
+            return np.array([math.sqrt(dcov2 / dvar)])
+        dcov2 = np.array([sum(np.vdot(ca[blk], cb.take(idx[blk], 0).take(idx, 1))
+                              for blk in blocks) for idx in rows]) / (float(m) * m)
+        return np.sqrt(np.maximum(dcov2, 0.0) / dvar)
 
-    return lambda rows: np.array([dcor_of(idx) for idx in rows])
+    return dcor_of
 
 
 def _sorted_row_sums(z: np.ndarray):
@@ -263,7 +284,7 @@ def _sorted_row_sums(z: np.ndarray):
 
 def _dcor_1d(u: np.ndarray, v: np.ndarray):
     """Statistic of (u, v[idx]) for rows idx, 1-D samples, in O(m log m) per
-    row; None if a sample is constant.
+    row; rows=None gives the observed pairing.  None if a sample is constant.
 
     With a_ij = |u_i - u_j|, row sums a_i. and total a.. (b likewise),
     m^2 dCov^2 = sum_ij a_ij b_ij - (2/m) sum_i a_i. b_i. + a.. b.. / m^2
@@ -303,6 +324,8 @@ def _dcor_1d(u: np.ndarray, v: np.ndarray):
     const = a.sum() * b.sum() / (m2 * m2)
 
     def dcor_of(rows):
+        if rows is None:
+            rows = np.arange(m)[None, :]
         n_rows = len(rows)
         r = rank_v[rows[:, ou]]  # rank of the v paired with the k-th smallest u
         cross = m * (vs[r] @ us) - cross0
@@ -341,15 +364,20 @@ def distance_correlation_test(u: np.ndarray, v: np.ndarray,
     comes from sorting and dominance sums, O(m log m) per permutation;
     permutations are batched, so that a batch costs O(log m) numpy steps, in
     O(_BATCH_CELLS + m) memory.  For d > 1 the double-centered distance
-    matrices are computed once, in blocks of rows, and each permutation
-    re-indexes the second one, O(m^2) per permutation after an O(m^2 d)
-    setup, in O(m^2 + _BATCH_CELLS) memory.  The p-value
+    matrices are computed in blocks of rows, and each permutation
+    re-indexes the second one a block of rows at a time, O(m^2) per
+    permutation after an O(m^2 d) setup, in two m x m float64 matrices plus
+    one block of about _BATCH_CELLS cells.  The p-value
     (1 + #{perm >= observed}) / (n_perm + 1) is exact under independence.
     """
     if rng is None:
         rng = rng_stream(0, 60_000)
+    if not n_perm >= 0:
+        raise DomainError(f"n_perm must be >= 0, got {n_perm}")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
+    if u.size == 0 or v.size == 0:
+        raise DomainError("samples must be non-empty")
     m = u.shape[0]
     if v.shape[0] != m:
         raise DomainError("samples must have equal length")
@@ -360,12 +388,13 @@ def distance_correlation_test(u: np.ndarray, v: np.ndarray,
         dcor_of = _dcor_matrices(u, v)
     if dcor_of is None:
         return 0.0, 1.0
-    obs = float(dcor_of(np.arange(m)[None, :])[0])
-    hits, batch = 0, max(1, _BATCH_CELLS // m)
-    for start in range(0, n_perm, batch):
-        rows = np.array([rng.permutation(m)
-                         for _ in range(min(batch, n_perm - start))])
-        hits += int(np.count_nonzero(dcor_of(rows) >= obs - _TIE_RTOL * obs))
+    batch = max(1, _BATCH_CELLS // m)
+    perm_stats = [dcor_of(np.array([rng.permutation(m)
+                                    for _ in range(min(batch, n_perm - start))]))
+                  for start in range(0, n_perm, batch)]
+    obs = float(dcor_of(None)[0])
+    hits = sum(int(np.count_nonzero(stats >= obs - _TIE_RTOL * obs))
+               for stats in perm_stats)
     return obs, (1.0 + hits) / (n_perm + 1.0)
 
 

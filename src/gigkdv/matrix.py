@@ -459,6 +459,9 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
     chol = np.zeros((chains, r * r))
     chol_t = np.swapaxes(chol.reshape(chains, r, r), -1, -2)
     weights = np.arange(r + 1, 1, -1, dtype=float)  # r+1-i+1 for i = 1..r
+    # _log_kernel with each trace one matrix-vector product on the batch
+    a_t, b_t = params.a.T.ravel(), params.b.T.ravel()
+    ld_coef = params.p - 0.5 * (r + 1)
 
     def log_target(theta):
         # the density of x = L L^T pulled back to theta, and x; the
@@ -467,7 +470,9 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
         chol[:, lower_cells] = theta[:, r:]
         x = chol.reshape(chains, r, r) @ chol_t
         jac = (weights * theta[:, :r]).sum(axis=-1)
-        return _log_kernel(params, x, 2.0 * theta[:, :r].sum(axis=-1)) + jac, x
+        traces = (x.reshape(chains, -1) @ a_t
+                  + np.linalg.inv(x).reshape(chains, -1) @ b_t)
+        return ld_coef * (2.0 * theta[:, :r].sum(axis=-1)) - 0.5 * traces + jac, x
 
     chol0 = np.linalg.cholesky(mgig_mode(params))
     theta0 = np.concatenate([np.log(np.diag(chol0)), chol0[il]])
@@ -476,7 +481,7 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
     step = cfg.step
     lt, x = log_target(theta)
     accepted = 0
-    acc_window = []
+    acc_window = 0  # accepted moves since the last adaptation
 
     per_chain = -(-n // chains)
     kept = np.empty((chains, per_chain, r, r))
@@ -488,11 +493,11 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
         np.copyto(lt, lt_prop, where=accept)
         np.copyto(x, x_prop, where=accept[:, None, None])
         if it < cfg.burn_in:
-            acc_window.append(np.count_nonzero(accept) / chains)
+            acc_window += int(np.count_nonzero(accept))
             if (it + 1) % cfg.adapt_every == 0:
-                rate = float(np.mean(acc_window))
+                rate = acc_window / (chains * cfg.adapt_every)
                 step *= math.exp(0.5 * (rate - cfg.target_accept))
-                acc_window = []
+                acc_window = 0
         else:
             accepted += int(np.count_nonzero(accept))
             k, rest = divmod(it - cfg.burn_in + 1, cfg.thin)

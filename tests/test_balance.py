@@ -209,15 +209,18 @@ class TestDistanceCorrelation:
         for u, v in ((np.full(40, 0.1), z), (z, np.full(40, 0.7))):
             assert balance.distance_correlation_test(u, v, n_perm=9) == (0.0, 1.0)
 
-    @pytest.mark.parametrize("m", [2, 3, 64, 500])
+    @pytest.mark.parametrize("m", [2, 3, 64, 500, 1000])
     def test_vectors_match_ix_oracle(self, m):
+        # at m = 1000 each permutation is summed over 65-row blocks with a
+        # ragged last block of 25 rows
+        n_perm = 99 if m < 1000 else 19
         for seed in range(3 if m < 100 else 1):
             rng = rng_stream(seed, 100 + m)
             u = rng.normal(size=(m, 3))
             v = np.column_stack([u[:, 0] ** 2, rng.normal(size=(m, 2))])
-            got = balance.distance_correlation_test(u, v, n_perm=99,
+            got = balance.distance_correlation_test(u, v, n_perm=n_perm,
                                                     rng=rng_stream(seed, 8))
-            assert got == oracle_dcor_matrices_test(u, v, 99, rng_stream(seed, 8))
+            assert got == oracle_dcor_matrices_test(u, v, n_perm, rng_stream(seed, 8))
 
     @pytest.mark.parametrize("d", [3, 6, 15])
     def test_dimensions_match_ix_oracle(self, d):
@@ -231,7 +234,8 @@ class TestDistanceCorrelation:
         assert got == oracle_dcor_matrices_test(u, v, 19, rng_stream(d, 9))
 
     def test_distance_matrix_memory_bounded(self):
-        # an (m, m, d) difference tensor once took a 104 MB peak here
+        # an (m, m, d) difference tensor once took a 104 MB peak here, and
+        # centering by full-size temporaries 24.6 MB; one 8 MB matrix remains
         z = rng_stream(3, 0).normal(size=(1000, 6))
         tracemalloc.start()
         try:
@@ -239,7 +243,31 @@ class TestDistanceCorrelation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40_000_000
+        assert peak < 12_000_000
+
+    def test_vector_test_memory_bounded(self):
+        # two 8 MB distance matrices and a block of rows; holding a third
+        # and fourth matrix for each permutation once took 32.4 MB
+        rng = rng_stream(4, 0)
+        u, v = rng.normal(size=(1000, 3)), rng.normal(size=(1000, 3))
+        tracemalloc.start()
+        try:
+            balance.distance_correlation_test(u, v, n_perm=49, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
+
+    @pytest.mark.parametrize("n_perm", [-1, -5])
+    def test_negative_permutation_count(self, n_perm):
+        z = np.linspace(0.1, 3.0, 40)
+        with pytest.raises(DomainError, match="n_perm"):
+            balance.distance_correlation_test(z, z[::-1], n_perm=n_perm)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_sample(self, shape):
+        with pytest.raises(DomainError, match="non-empty"):
+            balance.distance_correlation_test(np.empty(shape), np.empty(shape), n_perm=9)
 
     def test_three_vectors_unchanged(self):
         # d > 1 keeps the double-centered matrices; the p-value was computed
