@@ -15,14 +15,15 @@ header records the resolved values.  Outputs carry no timestamps, so
 identical (binary, config, seed) runs are byte-identical.
 
 Exit status: 0 on success/pass, 1 when a verification battery fails,
-2 on usage or domain errors.  When the reader of standard output goes away
-(`gigkdv lattice run ... | head`), the run stops quietly with status 141,
-the status of a process ended by SIGPIPE.
+2 on usage or domain errors and on sizes too large to hold.  When the
+reader of standard output goes away (`gigkdv lattice run ... | head`), the
+run stops quietly with status 141, the status of a process ended by SIGPIPE.
 """
 
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -65,10 +66,28 @@ def _positive(text: str) -> float:
     return value
 
 
+# no address space holds more than 2**59 float64 values (4 EiB), so a larger
+# size is rejected as it is parsed: past 2**60 values numpy cannot index an
+# array at all, and raises ValueError where it would raise MemoryError
+_MAX_SIZE = 2**59
+
+
+def _size(text: str) -> int:
+    """A count of values; one below 1 is left to the command to reject."""
+    n = int(text)
+    if n > _MAX_SIZE:
+        raise ValueError(f"must be <= 2**59, as no address space holds more "
+                         f"float64 values, got {n}")
+    return n
+
+
 def _dimension(text: str) -> int:
     r = int(text)
     if r < 1:
         raise ValueError(f"must be >= 1, got {r}")
+    if r > math.isqrt(_MAX_SIZE):
+        raise ValueError(f"must be <= {math.isqrt(_MAX_SIZE)}, as no address space "
+                         f"holds a larger r x r matrix, got {r}")
     return r
 
 
@@ -365,12 +384,12 @@ _ALPHA = Param("alpha", float, 1.0)
 _BETA = Param("beta", float, 2.0)
 _LAMBDA = Param("lambda", float, 0.5)
 _C1, _C2 = Param("c1", float, 1.0), Param("c2", float, 1.0)
-_N = Param("n", int, 1000)
+_N = Param("n", _size, 1000)
 _R = Param("r", _dimension, 2)
 _A = Param("a", _entries, None, "row-major entries of a (comma separated); "
            "default the identity")
 _B = Param("b", _entries, None, "row-major entries of b; default the identity")
-_LATTICE = (_N, Param("t", int, 20), _ALPHA, _BETA, _LAMBDA,
+_LATTICE = (_N, Param("t", _size, 20), _ALPHA, _BETA, _LAMBDA,
             Param("c", _positive, 1.0), Param("c2", _positive, None, "default c"), _SEED)
 _REPLAY = (("--replay", {"help": "boundary file to replay"}),)
 
@@ -402,13 +421,13 @@ _COMMANDS = (
     ("balance", "verify", "Monte-Carlo detailed-balance report (JSON)",
      _cmd_balance_verify,
      (Param("variant", str, "fdk", "fdk, psi or matrix"), _ALPHA, _BETA, _C1, _C2,
-      _LAMBDA, Param("n", int, 100_000), _R, _A, _B, _BALANCE_SEED),
+      _LAMBDA, Param("n", _size, 100_000), _R, _A, _B, _BALANCE_SEED),
      (("--batch", {"help": "file with one spec per line (key=value tokens)"}),)),
     ("balance", "machinery", "tilted-transform identity residuals (CSV)",
      _battery(_machinery_rows),
      (_ALPHA, _BETA, _C1, _C2, _LAMBDA, Param("s", float, 0.7),
       Param("sigma", float, -1.0), Param("theta", float, -0.5),
-      Param("n", int, 200_000), _BALANCE_SEED), ()),
+      Param("n", _size, 200_000), _BALANCE_SEED), ()),
     ("lattice", "run", "evolve the lattice; CSV rows t,n,x,y", _cmd_lattice_run,
      _LATTICE, _REPLAY),
     ("lattice", "stationarity", "KS stationarity report (JSON)",
@@ -453,7 +472,7 @@ def dispatch(argv=None) -> int:
     except BrokenPipeError:
         raise  # `main` ends quietly when the reader of stdout goes away
     except (DomainError, NotSpdError, IllConditionedError, ConfigError,
-            OverflowError, OSError, UnicodeDecodeError) as exc:
+            OverflowError, MemoryError, OSError, UnicodeDecodeError) as exc:
         print(f"gigkdv: error: {exc}", file=sys.stderr)
         return 2
 

@@ -450,59 +450,84 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
                           "chains (4 draws per chain)")
     r, chains = params.r, cfg.chains
     d = r * (r + 1) // 2
+    per_chain = -(-n // chains)
+    if chains * per_chain * r * r > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"{n} draws of {r} x {r} matrices are more float64 "
+                          "values than numpy can index")
+    # an n too large to hold fails here, before any MCMC work
+    kept = np.empty((chains, per_chain, r, r))
     rng = rng_stream(seed, 77_001)
 
     # theta = (log diag L, strict lower L); every evaluation refills the
     # row-major cells of one L per chain in place and reads L^T as a view
     il = np.tril_indices(r, k=-1)
     lower_cells = il[0] * r + il[1]
-    chol = np.zeros((chains, r * r))
-    chol_t = np.swapaxes(chol.reshape(chains, r, r), -1, -2)
-    weights = np.arange(r + 1, 1, -1, dtype=float)  # r+1-i+1 for i = 1..r
-    # _log_kernel with each trace one matrix-vector product on the batch
+    chol = np.zeros((chains, r, r))
+    chol_cells = chol.reshape(chains, r * r)
+    chol_diag = chol_cells[:, ::r + 1]
+    chol_t = np.swapaxes(chol, -1, -2)
+    x = np.empty((chains, r, r))
+    x_cells = x.reshape(chains, r * r)
+    # log det x = 2 sum_i log L_ii and the Cholesky volume factor
+    # sum_i (r + 2 - i) log L_ii are one linear form in log diag L
+    coef = (2.0 * params.p - (r + 1)) + np.arange(r + 1, 1, -1, dtype=float)
+    # _log_kernel's two traces, each one matrix-vector product on the batch
     a_t, b_t = params.a.T.ravel(), params.b.T.ravel()
-    ld_coef = params.p - 0.5 * (r + 1)
+
+    def fill_x(theta):
+        # x = L L^T of every chain, written to the buffer x
+        np.exp(theta[:, :r], out=chol_diag)
+        chol_cells[:, lower_cells] = theta[:, r:]
+        return np.matmul(chol, chol_t, out=x)
 
     def log_target(theta):
-        # the density of x = L L^T pulled back to theta, and x; the
-        # Cholesky volume factor contributes sum_i (r + 2 - i) log L_ii
-        np.exp(theta[:, :r], out=chol[:, ::r + 1])
-        chol[:, lower_cells] = theta[:, r:]
-        x = chol.reshape(chains, r, r) @ chol_t
-        jac = (weights * theta[:, :r]).sum(axis=-1)
-        traces = (x.reshape(chains, -1) @ a_t
-                  + np.linalg.inv(x).reshape(chains, -1) @ b_t)
-        return ld_coef * (2.0 * theta[:, :r].sum(axis=-1)) - 0.5 * traces + jac, x
+        # the density of x = L L^T pulled back to theta.  Summed in another
+        # order than _log_kernel plus the volume term, it may differ in the
+        # last bit; that flips an accept decision only when log u lies
+        # within an ulp of the log ratio, so the oracle tests and the pinned
+        # digests are the guard that the draws hold
+        fill_x(theta)
+        return theta[:, :r] @ coef - 0.5 * (
+            x_cells @ a_t + np.linalg.inv(x).reshape(chains, -1) @ b_t)
 
     chol0 = np.linalg.cholesky(mgig_mode(params))
     theta0 = np.concatenate([np.log(np.diag(chol0)), chol0[il]])
     theta = theta0[None, :] + 0.05 * rng.standard_normal((chains, d))
+    lt = log_target(theta)
 
-    step = cfg.step
-    lt, x = log_target(theta)
-    accepted = 0
-    acc_window = 0  # accepted moves since the last adaptation
+    # filled in place, z and u take the same draws from rng as new arrays of
+    # their shapes would
+    z, prop, u = np.empty((chains, d)), np.empty((chains, d)), np.empty(chains)
 
-    per_chain = -(-n // chains)
-    kept = np.empty((chains, per_chain, r, r))
-    for it in range(cfg.burn_in + per_chain * cfg.thin):
-        prop = theta + step * rng.standard_normal((chains, d))
-        lt_prop, x_prop = log_target(prop)
-        accept = np.log(rng.random(chains)) < lt_prop - lt
+    def advance(step):
+        # one random-walk Metropolis step of every chain; returns the moves
+        # accepted
+        rng.standard_normal(out=z)
+        np.multiply(z, step, out=prop)
+        np.add(prop, theta, out=prop)
+        lt_prop = log_target(prop)
+        rng.random(out=u)
+        accept = np.log(u) < lt_prop - lt
         np.copyto(theta, prop, where=accept[:, None])
         np.copyto(lt, lt_prop, where=accept)
-        np.copyto(x, x_prop, where=accept[:, None, None])
-        if it < cfg.burn_in:
-            acc_window += int(np.count_nonzero(accept))
-            if (it + 1) % cfg.adapt_every == 0:
-                rate = acc_window / (chains * cfg.adapt_every)
-                step *= math.exp(0.5 * (rate - cfg.target_accept))
-                acc_window = 0
-        else:
-            accepted += int(np.count_nonzero(accept))
-            k, rest = divmod(it - cfg.burn_in + 1, cfg.thin)
-            if rest == 0:
-                kept[:, k - 1] = x
+        return int(np.count_nonzero(accept))
+
+    step = cfg.step
+    for _ in range(cfg.burn_in // cfg.adapt_every):
+        acc_window = sum(advance(step) for _ in range(cfg.adapt_every))
+        rate = acc_window / (chains * cfg.adapt_every)
+        step *= math.exp(0.5 * (rate - cfg.target_accept))
+    for _ in range(cfg.burn_in % cfg.adapt_every):
+        advance(step)
+
+    accepted = 0
+    for k in range(per_chain):
+        accepted += sum(advance(step) for _ in range(cfg.thin))
+        # carrying x through accept and reject would take a masked copy per
+        # step; a kept draw is rebuilt instead, once per thin steps, from
+        # theta by the exp and the matmul that built it when it was
+        # proposed, so it has the same bits
+        kept[:, k] = fill_x(theta)
 
     acc_rate = accepted / (chains * per_chain * cfg.thin)
     try:

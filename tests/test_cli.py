@@ -656,6 +656,38 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
 
+    # every size here is beyond any address space, so no machine can map it,
+    # whatever its overcommit setting: 2e17 float64 values take 1.4 EiB and
+    # the allocator refuses them; 2e18 and 2e19, on which numpy would raise
+    # ValueError, are refused as parsed; 6e17 draws of 2 x 2 matrices are
+    # more values than numpy can index, though 6e17 itself is not
+    @pytest.mark.parametrize("argv", [
+        *([*cmd, "--n", "200000000000000000"] for cmd in (
+            ["dist", "sample"], ["matrix", "sample", "--r", "2"],
+            ["lattice", "run", "--t", "3"],
+            ["lattice", "stationarity", "--t", "3", "--probes", "1"],
+            ["balance", "verify"], ["balance", "verify", "--variant", "matrix"],
+            ["balance", "machinery"])),
+        *([*cmd, "--n", n] for n in ("2000000000000000000", "20000000000000000000")
+          for cmd in (["dist", "sample"], ["matrix", "sample", "--r", "2"],
+                      ["lattice", "run", "--t", "3"])),
+        ["lattice", "run", "--n", "3", "--t", "2000000000000000000"],
+        ["matrix", "sample", "--r", "2", "--n", "600000000000000000"],
+        ["balance", "verify", "--variant", "matrix", "--n", "600000000000000000"],
+        ["matrix", "sample", "--n", "25", "--r", "1000000000"],
+    ])
+    def test_unallocatable_size_exits_2(self, argv, capsys, monkeypatch):
+        # such a crash once exited 1, the status of a failed verdict; a
+        # matrix run must fail before its MCMC work, which starts at the mode
+        def work(params):
+            pytest.fail("the MCMC started before the draws were allocated")
+        monkeypatch.setattr(cli.matrix, "mgig_mode", work)
+        monkeypatch.delenv(cli.SEED_ENV, raising=False)
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gigkdv: error: ") and err.count("\n") == 1
+
     def test_closed_pipe_ends_quietly(self):
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env = dict(os.environ, PYTHONPATH=src)

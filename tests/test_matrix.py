@@ -277,6 +277,73 @@ def eigdensity_expectation(p, fn):
     return num / den
 
 
+def oracle_mgig_sample(params, seed, n, mcmc=None):
+    """The chain loop of matrix.mgig_sample as it stood before the step
+    loop was rewritten: it carried x through accept and reject, and formed
+    log det x and the volume term as separate sums.  The rewrite must keep
+    its draws and diagnostics bit for bit."""
+    cfg = mcmc or matrix.McmcConfig()
+    r, chains = params.r, cfg.chains
+    d = r * (r + 1) // 2
+    rng = rng_stream(seed, 77_001)
+
+    il = np.tril_indices(r, k=-1)
+    lower_cells = il[0] * r + il[1]
+    chol = np.zeros((chains, r * r))
+    chol_t = np.swapaxes(chol.reshape(chains, r, r), -1, -2)
+    weights = np.arange(r + 1, 1, -1, dtype=float)
+    a_t, b_t = params.a.T.ravel(), params.b.T.ravel()
+    ld_coef = params.p - 0.5 * (r + 1)
+
+    def log_target(theta):
+        np.exp(theta[:, :r], out=chol[:, ::r + 1])
+        chol[:, lower_cells] = theta[:, r:]
+        x = chol.reshape(chains, r, r) @ chol_t
+        jac = (weights * theta[:, :r]).sum(axis=-1)
+        traces = (x.reshape(chains, -1) @ a_t
+                  + np.linalg.inv(x).reshape(chains, -1) @ b_t)
+        return ld_coef * (2.0 * theta[:, :r].sum(axis=-1)) - 0.5 * traces + jac, x
+
+    chol0 = np.linalg.cholesky(matrix.mgig_mode(params))
+    theta0 = np.concatenate([np.log(np.diag(chol0)), chol0[il]])
+    theta = theta0[None, :] + 0.05 * rng.standard_normal((chains, d))
+
+    step = cfg.step
+    lt, x = log_target(theta)
+    accepted = 0
+    acc_window = 0
+
+    per_chain = -(-n // chains)
+    kept = np.empty((chains, per_chain, r, r))
+    for it in range(cfg.burn_in + per_chain * cfg.thin):
+        prop = theta + step * rng.standard_normal((chains, d))
+        lt_prop, x_prop = log_target(prop)
+        accept = np.log(rng.random(chains)) < lt_prop - lt
+        np.copyto(theta, prop, where=accept[:, None])
+        np.copyto(lt, lt_prop, where=accept)
+        np.copyto(x, x_prop, where=accept[:, None, None])
+        if it < cfg.burn_in:
+            acc_window += int(np.count_nonzero(accept))
+            if (it + 1) % cfg.adapt_every == 0:
+                rate = acc_window / (chains * cfg.adapt_every)
+                step *= math.exp(0.5 * (rate - cfg.target_accept))
+                acc_window = 0
+        else:
+            accepted += int(np.count_nonzero(accept))
+            k, rest = divmod(it - cfg.burn_in + 1, cfg.thin)
+            if rest == 0:
+                kept[:, k - 1] = x
+
+    acc_rate = accepted / (chains * per_chain * cfg.thin)
+    ld = matrix._logdet_spd(kept.reshape(-1, r, r)).reshape(chains, per_chain)
+    tr = np.trace(kept, axis1=-2, axis2=-1)
+    rhat = {"logdet": matrix._split_rhat(ld), "trace": matrix._split_rhat(tr)}
+    ess = {"logdet": matrix._ess(ld), "trace": matrix._ess(tr)}
+    ok = (0.1 <= acc_rate <= 0.6) and all(v < 1.05 for v in rhat.values())
+    return matrix.MgigSample(draws=kept.reshape(-1, r, r)[:n], acceptance_rate=acc_rate,
+                             rhat=rhat, ess=ess, step=step, seed=seed, ok=ok)
+
+
 class TestMcmc:
     def test_r1_matches_exact_sampler(self):
         law = matrix.MgigParams(0.7, np.array([[2.0]]), np.array([[3.0]]))
@@ -325,6 +392,21 @@ class TestMcmc:
         assert hashlib.sha256(run.draws.tobytes()).hexdigest() == digest
         assert run.acceptance_rate == acc_rate
         assert run.step == step
+
+    # r = 1 has no strict-lower cells; burn-in 120 is not a multiple of
+    # adapt_every, and neither n is a multiple of the 8 chains
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    @pytest.mark.parametrize("burn_in,thin", [(0, 1), (120, 3), (None, None)])
+    @pytest.mark.parametrize("n", [25, 243])
+    def test_matches_oracle(self, r, burn_in, thin, n):
+        law = matrix.MgigParams(0.5 * r + 0.8, *spd_pair(r, 31 + r))
+        cfg = None if burn_in is None else matrix.McmcConfig(burn_in=burn_in, thin=thin)
+        seed = 1000 * r + n
+        got = matrix.mgig_sample(law, seed, n, mcmc=cfg)
+        want = oracle_mgig_sample(law, seed, n, mcmc=cfg)
+        assert got.draws.shape == (n, r, r)
+        assert np.array_equal(got.draws, want.draws)
+        assert got.diagnostics_dict() == want.diagnostics_dict()
 
     @pytest.mark.parametrize("field,value", [
         ("chains", 0), ("burn_in", -1), ("thin", 0), ("thin", -3),
