@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import gammainc, gammaincc
 
 from gigkdv import dist, specfun
 from gigkdv.errors import DomainError
@@ -124,68 +125,132 @@ class TestCdf:
         assert np.max(d) <= 1e-3
 
 
-def oracle_panel_integrals(law, edges, width):
-    """The per-panel list comprehension that `dist._panel_integrals`
-    replaced: one `np.arange` call per panel for the subpanel offsets."""
+_ORACLE_GL_NODES, _ORACLE_GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_ORACLE_CHUNK_SUBPANELS = (1 << 16) // 16
+
+
+def oracle_panels(law, edges, width):
+    """Integral of the CDF integrand over each [edges[i], edges[i+1]]: the
+    subpanel quadrature that `dist.cdf` used before its merged grid, 16-node
+    Gauss-Legendre on subpanels no wider than `width`, in chunks of whole
+    panels holding at most 4,096 subpanels."""
     lo, hi = edges[:-1], edges[1:]
     n_sub = np.maximum(1, np.ceil((hi - lo) / width).astype(int))
-    owner = np.repeat(np.arange(len(lo)), n_sub)
-    starts = np.repeat(lo, n_sub)
-    steps = np.repeat((hi - lo) / n_sub, n_sub)
-    offset = np.concatenate([np.arange(k) for k in n_sub]) if len(n_sub) else np.array([])
-    sub_lo = starts + offset * steps
-    half = 0.5 * steps
-    nodes = sub_lo[:, None] + half[:, None] * (dist._GL_NODES[None, :] + 1.0)
-    vals = np.exp(dist._log_weight(law, nodes.ravel(), dist._log_norm(law))
-                  ).reshape(nodes.shape)
-    sub = (vals * dist._GL_WEIGHTS[None, :]).sum(axis=1) * half
+    ends = np.cumsum(n_sub)
+    center = dist._log_weight_center(law)
     out = np.zeros(len(lo))
-    np.add.at(out, owner, sub)
+    start = 0
+    while start < len(lo):
+        limit = ends[start] - n_sub[start] + _ORACLE_CHUNK_SUBPANELS
+        stop = max(start + 1, int(np.searchsorted(ends, limit, side="right")))
+        k = n_sub[start:stop]
+        owner = np.repeat(np.arange(stop - start), k)
+        offset = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+        step = ((hi[start:stop] - lo[start:stop]) / k)[owner]
+        sub_lo = lo[start:stop][owner] + offset * step
+        half = 0.5 * step
+        nodes = sub_lo[:, None] + half[:, None] * (_ORACLE_GL_NODES[None, :] + 1.0)
+        vals = np.exp(dist._log_weight(law, nodes.ravel(), center)).reshape(nodes.shape)
+        sub = (vals * _ORACLE_GL_WEIGHTS[None, :]).sum(axis=1) * half
+        np.add.at(out[start:stop], owner, sub)
+        start = stop
     return out
 
 
-def cdf_edges(law, xs):
-    # the edges and width that `cdf` builds: window start, then the sorted,
-    # clipped log query points
-    t_lo, t_hi, width = dist._window(law)
-    return np.concatenate([[t_lo], np.clip(np.sort(np.log(xs)), t_lo, t_hi)]), width
+def oracle_cdf(law, x):
+    """The CDF by the panel quadrature `dist.cdf` replaced: one panel per
+    gap between consecutive sorted query points, split by
+    `oracle_panels`.  It shares the integrand `dist._log_weight`,
+    which `test_cdf_matches_mpmath` checks on its own."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if law.a == 0.0 or law.b == 0.0:
+        return (gammainc(law.lam, law.a * xs) if law.b == 0.0
+                else gammaincc(-law.lam, law.b / xs))
+    t_lo, t_hi, _ = dist._window(law)
+    m = math.exp(dist._weight_mode(law))
+    width = min(0.25, 1.5 / math.sqrt(1.0 + law.a * m + law.b / m))
+    t = np.log(xs)
+    order = np.argsort(t, kind="stable")
+    edges = np.concatenate([[t_lo], np.clip(t[order], t_lo, t_hi)])
+    vals = np.clip(np.cumsum(oracle_panels(law, edges, width)), 0.0, 1.0)
+    out = np.empty_like(vals)
+    out[order] = vals
+    out[t <= t_lo] = 0.0
+    return out
 
 
-def counted_edges(counts, width=0.01):
-    # edges of panels holding exactly counts[i] subpanels of `width` each,
-    # around the mode of CHUNK_LAW; a panel (k - 1/2) widths wide has k
-    spans = (np.asarray(counts) - 0.5) * width
-    t0 = dist._weight_mode(CHUNK_LAW) - 0.5 * spans.sum()
-    return t0 + np.concatenate([[0.0], np.cumsum(spans)]), width
+def grid_size(law):
+    t_lo, t_hi, spacing = dist._window(law)
+    return math.ceil((t_hi - t_lo) / spacing) + 1
+
+
+def on_grid_line(law):
+    # a point whose log is exactly one of the grid cuts of `cdf`
+    t_lo, t_hi, _ = dist._window(law)
+    grid = np.linspace(t_lo, t_hi, grid_size(law))
+    return next(x for x in np.exp(grid[len(grid) // 2:]) if np.log(x) in grid)
+
+
+def panels_in_chunk(offset):
+    # draws of CHUNK_LAW that, with the grid's cuts, leave a chunk of panels
+    # plus `offset` between consecutive cuts
+    n = dist._CHUNK_PANELS - grid_size(CHUNK_LAW) + 1 + offset
+    return dist.sample(CHUNK_LAW, 11, n)
 
 
 WEAK_GRID = np.geomspace(0.05, 20.0, 40)
 CHUNK_LAW = dist.GigParams(0.7, 3.0, 7.0)
-CHUNK = dist._CHUNK_SUBPANELS
+EDGE_LAW = dist.GigParams(-2.3, 0.4, 3.0)
+
+ORACLE_CASES = (
+    [(law, dist.sample(law, 20260809, 100_000, stream=i), f"battery-{i}")
+     for i, law in enumerate(dist._ks_battery_points())]
+    + [(law, np.geomspace(1e-6, 1e6, 2001), f"geomspace-{law_id(law)}") for law in LAWS]
+    + [(dist.GigParams(1.2, 0.8, 1e-8), WEAK_GRID, "weak-gamma-grid"),
+       (dist.GigParams(-1.2, 1e-8, 0.8), WEAK_GRID, "weak-invgamma-grid"),
+       (EDGE_LAW, np.array([1.7]), "single-point"),
+       (EDGE_LAW, np.array([on_grid_line(EDGE_LAW)]), "point-on-grid-line"),
+       (EDGE_LAW, np.array([1.3, 0.2, 1.3, 1.3, 0.2]), "duplicate-points"),
+       (EDGE_LAW, np.array([1e-300, 1e-200, 1e-100, 1.0]), "points-below-window"),
+       (EDGE_LAW, np.array([1.0, 1e100, 1e200, 1e300]), "points-above-window"),
+       (EDGE_LAW, np.array([4.0, 0.3, 2.0, 0.9, 1e-300, 1e300]), "unsorted"),
+       (CHUNK_LAW, panels_in_chunk(-1), "panels-chunk-minus-1"),
+       (CHUNK_LAW, panels_in_chunk(0), "panels-chunk"),
+       (CHUNK_LAW, panels_in_chunk(1), "panels-chunk-plus-1")])
 
 
-@pytest.mark.parametrize("law,edges_width", [
-    (dist.GigParams(0.7, 3.0, 7.0),
-     cdf_edges(dist.GigParams(0.7, 3.0, 7.0),
-               dist.sample(dist.GigParams(0.7, 3.0, 7.0), 20260809, 100_000, stream=4))),
-    (dist.GigParams(1.2, 0.8, 1e-8), cdf_edges(dist.GigParams(1.2, 0.8, 1e-8), WEAK_GRID)),
-    (dist.GigParams(-1.2, 1e-8, 0.8), cdf_edges(dist.GigParams(-1.2, 1e-8, 0.8), WEAK_GRID)),
-    (dist.GigParams(-2.3, 0.4, 3.0), cdf_edges(dist.GigParams(-2.3, 0.4, 3.0), np.array([1.7]))),
-    # subpanel totals one below, at and one above a chunk
-    (CHUNK_LAW, counted_edges([1] * (CHUNK - 1))),
-    (CHUNK_LAW, counted_edges([1] * CHUNK)),
-    (CHUNK_LAW, counted_edges([1] * (CHUNK + 1))),
-    # a panel that would straddle the first chunk starts the second
-    (CHUNK_LAW, counted_edges([1] * (CHUNK - 2) + [3] + [1] * 10)),
-    # a panel wider than a chunk is a chunk of its own
-    (CHUNK_LAW, counted_edges([2, 2 * CHUNK + 5, 1])),
-], ids=["gig-1e5-draws", "weak-gamma-grid", "weak-invgamma-grid", "single-point",
-        "subpanels-4095", "subpanels-4096", "subpanels-4097", "panel-straddles-chunk",
-        "panel-wider-than-chunk"])
-def test_panel_integrals_match_oracle(law, edges_width):
-    edges, width = edges_width
-    assert np.array_equal(dist._panel_integrals(law, edges, width),
-                          oracle_panel_integrals(law, edges, width))
+@pytest.mark.parametrize("law,xs", [case[:2] for case in ORACLE_CASES],
+                         ids=[case[2] for case in ORACLE_CASES])
+def test_cdf_matches_oracle(law, xs):
+    got = dist.cdf(law, xs)
+    assert np.max(np.abs(got - oracle_cdf(law, xs))) <= 1e-14
+    if law.a > 0.0 and law.b > 0.0:
+        # the points at or below the window get an exact 0
+        t_lo = dist._window(law)[0]
+        assert np.all(got[np.log(xs) <= t_lo] == 0.0)
+
+
+@pytest.mark.parametrize("lam,a,b,tol", [(2.0, 1e6, 1e6, 1e-13), (2.0, 1e8, 1e8, 1e-12)])
+def test_cdf_matches_mpmath(lam, a, b, tol):
+    # at large a b the two terms a x and b / x of the log density cancel
+    # to within 2 sqrt(ab) of each other; their rounding once cost 6.8e-11
+    # at a = b = 1e6 and 5.4e-9 at 1e8
+    import mpmath as mp
+
+    mp.mp.dps = 40
+    z = 2 * mp.sqrt(mp.mpf(a) * b)
+    norm = (mp.mpf(a) / b) ** (mp.mpf(lam) / 2) / (2 * mp.besselk(lam, z))
+
+    def density(s):
+        return norm * s ** (lam - 1) * mp.exp(-a * s - b / s)
+
+    mode, sd = mp.sqrt(mp.mpf(b) / a), mp.sqrt(mp.mpf(b) / a) / mp.sqrt(z)
+    ks = (-3.0, -1.0, -0.3, 0.0, 0.5, 2.0, 4.0)
+    xs = np.array([float(mode + k * sd) for k in ks])
+    want = [mp.quad(density, [0] + [mode + j * sd for j in range(-40, 41, 4)
+                                    if mode + j * sd < x] + [x]) for x in xs]
+    got = dist.cdf(dist.GigParams(lam, a, b), xs)
+    assert np.max(np.abs(got - np.array([float(w) for w in want]))) <= tol
 
 
 def test_cdf_memory_bounded():

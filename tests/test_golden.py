@@ -17,11 +17,13 @@ from gigkdv import cli
 GOLDEN = [
     # the five `balance verify` reports were re-recorded when the printed
     # independence statistic became the distance correlation; only
-    # independence.statistic moved
+    # independence.statistic moved.  fdk and psi were re-recorded when the
+    # GIG CDF came to integrate over one merged grid of cuts: the KS
+    # statistics and p-values moved in their last digits
     ("balance verify --variant fdk --n 2000 --seed 7", 0,
-     "44ef915f1a4547d33498b574c3f367f57cdc2c6e021e392b9cbae2abc7b81f9a"),
+     "ae6a647e796a78d39706395bba41b3ec8cc14a6261b9319a4d0c31c59f22baaa"),
     ("balance verify --variant psi --n 2000 --seed 7", 0,
-     "4f54d023c294de748d22dd7f9c66b6f21ef4f98dd69c79e4aafca58ef2125964"),
+     "ea7d92a60c9fad65b4f742ad26a0a80660a6a3b5780a73269b28533d3ee4845b"),
     ("balance verify --variant matrix --r 2 --n 1000 --seed 7", 0,
      "0161ff7a5472cb5808780d96f48843600579a3536e52a3cb8e6632eab5956f9c"),
     # recorded at aeafd57: pins the d = 6 distance matrices and r = 3 draws
@@ -36,9 +38,11 @@ GOLDEN = [
     # re-recorded when the limit-family CDFs became incomplete gamma
     # functions: the two weak_limit rows moved in their last digits; and
     # when the sampler KS battery came to test 20 distinct laws, not 8:
-    # only sampler_ks_min_p moved
+    # only sampler_ks_min_p moved; and when the GIG CDF came to integrate
+    # over one merged grid of cuts: the two weak_limit rows and
+    # sampler_ks_min_p moved in their last digits
     ("dist check --seed 20260809", 0,
-     "09b1daabeeb04b5b893913d49d8f21a9fcc6c773aeaca332f5b36e4b207b44d1"),
+     "691b212f8fbb39688b21ed3658f33a5d28622d462a2f8d9990ef543e4a93a3c0"),
     ("map check --seed 20260809", 0,
      "add4286c0e6f6438e29eb190d83fa385fc3127bb21fcb70776bfab046b91a835"),
     ("matrix check --r 3 --seed 7", 0,
@@ -60,8 +64,10 @@ GOLDEN = [
      "b2d25f196d92221176f7088ad0c98c77901f64d027502c652436d53233a982d4"),
     ("lattice stationarity --n 2000 --t 10 --c 1 --c2 2 --probes 5,10 --seed 9", 0,
      "8aa8943d9bc11104a52783e29868ac9a1817afef4a8aa5b09ee4dab018be1ab2"),
+    # re-recorded when the GIG CDF came to integrate over one merged grid
+    # of cuts: the KS statistics and p-values moved in their last digits
     ("balance verify --batch specs.txt --seed 7", 0,
-     "a58d695ea7d5bc84e5e3c9ca30cbd676ee4cd693ec544f7c7ae6fb625603f735"),
+     "505980836ffc6eec11814fb107a2a747c8e82e09b4b5870eabd626ae9ebebedb"),
     ("lattice run --t 3 --config run.cfg", 0,
      "6b1cdc20f2fe4aee52b109f4739cfe6e527d5f5b706e941eeb793ea9152d52e2"),
 ]
