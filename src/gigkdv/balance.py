@@ -502,17 +502,21 @@ def _matrix_balance(spec, seed, n, mcmc):
                 "trace": np.trace(draws, axis1=-2, axis2=-1)}
 
     # residual MCMC autocorrelation makes nominal KS p-values
-    # anti-conservative, so each series is subsampled to its effective size
+    # anti-conservative, so a series that a chain fed is subsampled to its
+    # effective size; a series of exact draws is i.i.d. and kept whole
+    def stride(series, *keys):
+        chained = any(runs[k].sampler == "mcmc" for k in keys)
+        return _ess_stride(series) if chained else 1
+
     ks = {}
     max_stride = 1
-    for key, mapped, ref in (("U", us, runs["U_ref"].draws),
-                             ("V", vs, runs["V_ref"].draws)):
-        fm, fr = functionals(mapped), functionals(ref)
+    for key, mapped, ref in (("U", us, "U_ref"), ("V", vs, "V_ref")):
+        fm, fr = functionals(mapped), functionals(runs[ref].draws)
         for fname in fm:
-            stride = _ess_stride(fm[fname])
-            sm = fm[fname][::stride]
-            sr = fr[fname][::_ess_stride(fr[fname])]
-            max_stride = max(max_stride, stride)
+            step = stride(fm[fname], "X", "Y")
+            sm = fm[fname][::step]
+            sr = fr[fname][::stride(fr[fname], ref)]
+            max_stride = max(max_stride, step)
             ks[f"{key}_{fname}"] = KsStat(*ks_2samp(sm, sr), len(sm))
 
     norm = matrix_normalizers(spec, seed, n=400_000)

@@ -413,7 +413,7 @@ _COMMANDS = (
      _battery(lambda seed, params: matrix.prop51_battery(
          params["r"], params["alpha"], params["beta"], seed)),
      (_R, _ALPHA, _BETA, _SEED), ()),
-    ("matrix", "sample", "MGIG MCMC draws, one row-major matrix per line",
+    ("matrix", "sample", "MGIG draws (exact at r <= 3, else MCMC), one row-major matrix per line",
      _cmd_matrix_sample,
      (_R, Param("p", float, 1.5), _A, _B, _N,
       Param("burn_in", int, matrix.McmcConfig.burn_in),

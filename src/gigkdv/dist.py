@@ -99,9 +99,18 @@ def _log_weight_center(law: GigParams):
     # integrand of the CDF after x = e^t, w(t) = f(e^t) e^t, for a, b > 0: no
     # terms of size z = 2 sqrt(ab) cancel, so the rounding does not grow with z
     z = 2.0 * math.sqrt(law.a * law.b)
+    nu = abs(law.lam)
     with np.errstate(divide="ignore"):  # kve is inf at small z, 0 at infinite z
-        log_kve = float(np.log(kve(abs(law.lam), z)))
-    if not math.isfinite(log_kve):
+        log_kve = float(np.log(kve(nu, z)))
+    if math.isnan(log_kve) and nu * nu < z:
+        # kve is nan above z = 1e9, where log K + z would cancel to nothing;
+        # Hankel's expansion (DLMF 10.40.2) has falling terms while nu^2 < z
+        term = total = 1.0
+        for k in range(1, 60):
+            term *= (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * z)
+            total += term
+        log_kve = 0.5 * math.log(math.pi / (2.0 * z)) + math.log(total)
+    elif not math.isfinite(log_kve):
         log_kve = specfun.bessel_k_log(law.lam, z) + z
     return -math.log(2.0) - log_kve, 0.5 * (math.log(law.b) - math.log(law.a)), z
 
@@ -126,9 +135,16 @@ def _window(law: GigParams):
     center = _log_weight_center(law)
     lw0 = float(_log_weight(law, np.array(t0), center))
 
+    def beyond(t):
+        return float(_log_weight(law, np.array(t), center)) <= lw0 - 130.0
+
     def expand(direction):
+        # a law narrower than the first half-width of 1 starts lower, so the
+        # cuts do not grow like (a b)^(1/4); a wider one starts at 1
         step, t = 1.0, t0
-        while float(_log_weight(law, np.array(t + direction * step), center)) > lw0 - 130.0:
+        while beyond(t + direction * 0.5 * step):
+            step *= 0.5
+        while not beyond(t + direction * step):
             step *= 2.0
             if step > 1e12:
                 raise DomainError("CDF integrand fails to decay")

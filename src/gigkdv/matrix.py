@@ -14,8 +14,11 @@ has density proportional to
 on the SPD cone.  Its normalizer has no closed form for r >= 2 and is
 estimated by importance sampling against a mode-matched Wishart proposal,
 drawn in vectorized blocks by the Bartlett decomposition (exact Bessel
-form at r = 1); sampling is Metropolis-Hastings on the Cholesky factor
-with burn-in-only scale adaptation.
+form at r = 1).  Draws at r <= 3 are exact: Bartlett draws from a Wishart
+envelope of x or of x^-1, accepted with probability h / sup h, where sup h
+has a closed form.  At r >= 4, and where the envelope accepts under 1 %
+(a b ill conditioned), sampling is Metropolis-Hastings on the Cholesky
+factor with burn-in-only scale adaptation.
 
 Symmetric matrices are flattened isometrically (off-diagonal entries
 weighted by sqrt(2)) so that finite-difference Jacobian determinants agree
@@ -53,7 +56,10 @@ __all__ = [
 ]
 
 COND_CEILING = 1e12
-_IS_BLOCK = 1 << 14  # proposal draws built and weighed at once by mgig_log_norm
+# Wishart draws built and weighed at once by mgig_log_norm and by exact sampling
+_BLOCK = 1 << 14
+# exact sampling falls back to the chains when its first block accepts less
+_EXACT_MIN_ACCEPT = 0.01
 
 
 def check_spd(x, what: str = "matrix") -> np.ndarray:
@@ -308,16 +314,21 @@ def _bartlett_variates(df: float, r: int, n: int, rng: np.random.Generator):
     return normals, diag
 
 
-def _wishart_draws(chol_v: np.ndarray, normals: np.ndarray,
-                   diag: np.ndarray) -> np.ndarray:
-    # Bartlett (1933): x = C A A^T C^T with C = chol(v) and A lower
-    # triangular, holding `normals` below its diagonal and `diag` on it
-    r = chol_v.shape[0]
+def _bartlett_factors(normals: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    # the lower triangular A of Bartlett (1933), holding `normals` below its
+    # diagonal and `diag` on it, one per draw
+    r = diag.shape[0]
     il = np.tril_indices(r, k=-1)
     a = np.zeros((len(normals), r, r))
     a[:, il[0], il[1]] = normals
     a[:, np.arange(r), np.arange(r)] = diag.T
-    a = chol_v @ a
+    return a
+
+
+def _wishart_draws(chol_v: np.ndarray, normals: np.ndarray,
+                   diag: np.ndarray) -> np.ndarray:
+    # Bartlett (1933): x = C A A^T C^T with C = chol(v)
+    a = chol_v @ _bartlett_factors(normals, diag)
     return a @ np.swapaxes(a, -1, -2)
 
 
@@ -337,11 +348,11 @@ def mgig_log_norm(params: MgigParams, seed: int = 0, n: int = 200_000):
     df, v = _wishart_proposal(params)
     normals, diag = _bartlett_variates(df, params.r, n, rng_stream(seed, 90_001))
     chol_v = np.linalg.cholesky(v)
-    # the draws are built and weighed _IS_BLOCK at a time, so only the
+    # the draws are built and weighed _BLOCK at a time, so only the
     # variates and the log weights are held for all n
     lw = np.empty(n)
-    for s in range(0, n, _IS_BLOCK):
-        block = slice(s, s + _IS_BLOCK)
+    for s in range(0, n, _BLOCK):
+        block = slice(s, s + _BLOCK)
         x = _wishart_draws(chol_v, normals[block], diag[:, block])
         ld = _logdet_spd(x)
         lw[block] = _log_kernel(params, x, ld) - _wishart_log_pdf(df, v, x, ld)
@@ -387,9 +398,11 @@ class MgigSample:
     step: float = 0.0
     seed: int = 0
     ok: bool = False
+    sampler: str = "mcmc"        # or "rejection", for exact draws
 
     def diagnostics_dict(self) -> dict:
         return {
+            "sampler": self.sampler,
             "acceptance_rate": self.acceptance_rate,
             "rhat": dict(self.rhat),
             "ess": dict(self.ess),
@@ -432,8 +445,137 @@ def _ess(series: np.ndarray) -> float:
     return c * n / tau
 
 
+def _log_gamma_r(x: float, r: int) -> float:
+    # log of the multivariate gamma function Gamma_r(x)
+    return 0.25 * r * (r - 1) * math.log(math.pi) + sum(
+        math.lgamma(x - 0.5 * i) for i in range(r))
+
+
+def _envelope(p: float, a: np.ndarray, b: np.ndarray):
+    """(log mass, nu, k, log sup h) of the best Wishart(nu, a^-1) envelope
+    of MGIG(p, a, b).
+
+    The MGIG kernel over the Wishart kernel is h(x) = |x|^-k e^(-tr(b x^-1)/2)
+    with k = nu/2 - p > 0, and whitening by b gives sup h = |b|^-k (2k)^(rk)
+    e^(-rk).  The Wishart normalizer times sup h is the MGIG normalizer over
+    the acceptance rate, so nu minimizes it, over nu > max(r - 1, 2p).  The
+    mass is convex in nu with its minimum inside that range, and a
+    golden-section search over s = log(nu - max(r - 1, 2p)) finds it.
+    """
+    r = a.shape[0]
+    ld_a, ld_b = _logdet_spd(a), _logdet_spd(b)
+    lo = max(r - 1.0, 2.0 * p)
+
+    def terms(s):
+        nu, k = lo + math.exp(s), 0.5 * (lo - 2.0 * p + math.exp(s))
+        log_sup = -k * ld_b + r * k * (math.log(2.0 * k) - 1.0)
+        wishart = 0.5 * nu * (r * math.log(2.0) - ld_a) + _log_gamma_r(0.5 * nu, r)
+        return wishart + log_sup, nu, k, log_sup
+
+    shrink = 0.5 * (math.sqrt(5.0) - 1.0)
+    s0, s1 = -30.0, 15.0
+    for _ in range(60):
+        m0, m1 = s1 - shrink * (s1 - s0), s0 + shrink * (s1 - s0)
+        if terms(m0)[0] < terms(m1)[0]:
+            s1 = m1
+        else:
+            s0 = m0
+    return terms(0.5 * (s0 + s1))
+
+
+def _lower_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # low^-1 rhs for a batch of lower triangular low, by forward
+    # substitution; a zero pivot gives inf or nan, not an error
+    y = np.empty(low.shape[:1] + rhs.shape)
+    for i in range(rhs.shape[0]):
+        y[:, i] = (rhs[i] - np.einsum("nj,njk->nk", low[:, i, :i], y[:, :i])
+                   ) / low[:, i, i, None]
+    return y
+
+
+def _mgig_rejection(params: MgigParams, seed: int, n: int) -> MgigSample | None:
+    # exact draws by rejection from the better of two Wishart envelopes:
+    # of x ~ MGIG(p, a, b), or of x^-1 ~ MGIG(-p, b, a) (the normalizer is
+    # the same for both, so their masses compare the acceptance rates).
+    # None when the first block accepts fewer than _EXACT_MIN_ACCEPT
+    sides = [(params.p, params.a, params.b), (-params.p, params.b, params.a)]
+    envelopes = [_envelope(*side) for side in sides]
+    mirrored = bool(envelopes[1][0] < envelopes[0][0])
+    (p, a, b), (_, nu, k, log_sup) = sides[mirrored], envelopes[mirrored]
+    r = params.r
+    out = np.empty((n, r, r))
+    ld = np.empty(n)
+    # the proposal is y = C A A^T C^T with C = chol(a^-1), so log det y
+    # comes from the diagonal of A, and tr(b y^-1) = |A^-1 C^-1 chol(b)|_F^2
+    chol_v = np.linalg.cholesky(np.linalg.inv(a))
+    ld_v = -_logdet_spd(a)
+    c_inv = np.linalg.inv(chol_v)
+    whiten = c_inv @ np.linalg.cholesky(b)
+    rng = rng_stream(seed, 77_002)
+    filled = accepted = proposed = 0
+    worst = -math.inf  # the largest log h - log sup h met, <= 0 in exact arithmetic
+    while filled < n:
+        normals, diag = _bartlett_variates(nu, r, _BLOCK, rng)
+        factor = _bartlett_factors(normals, diag)
+        # chi-square variates of small df underflow to 0, so a proposal may
+        # be singular; its log h is not finite and it is rejected
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ld_y = 2.0 * np.sum(np.log(diag), axis=0) + ld_v
+            log_h = -k * ld_y - 0.5 * np.sum(_lower_solve(factor, whiten) ** 2,
+                                              axis=(1, 2))
+        log_h[~np.isfinite(log_h)] = -np.inf
+        worst = max(worst, float(np.max(log_h)) - log_sup)
+        keep = np.flatnonzero(np.log(rng.random(_BLOCK)) < log_h - log_sup)
+        accepted += len(keep)
+        proposed += _BLOCK
+        if proposed == _BLOCK and len(keep) < _EXACT_MIN_ACCEPT * _BLOCK:
+            return None
+        keep = keep[:n - filled]
+        part = slice(filled, filled + len(keep))
+        if mirrored:  # x = y^-1 = w w^T with w^T = A^-1 C^-1
+            w = np.swapaxes(_lower_solve(factor[keep], c_inv), -1, -2)
+            ld[part] = -ld_y[keep]
+        else:  # x = y = w w^T with w = C A
+            w = chol_v @ factor[keep]
+            ld[part] = ld_y[keep]
+        out[part] = w @ np.swapaxes(w, -1, -2)
+        filled += len(keep)
+    tr = np.trace(out, axis1=-2, axis2=-1)
+    rhat = {"logdet": _split_rhat(ld[None]), "trace": _split_rhat(tr[None])}
+    ess = {"logdet": _ess(ld[None]), "trace": _ess(tr[None])}
+    return MgigSample(draws=out, acceptance_rate=accepted / proposed, rhat=rhat,
+                      ess=ess, seed=seed, ok=worst <= 1e-9, sampler="rejection")
+
+
 def mgig_sample(params: MgigParams, seed: int, n: int,
                 mcmc: McmcConfig | None = None) -> MgigSample:
+    """n MGIG draws: exact and i.i.d. at r <= 3, else from Metropolis chains.
+
+    At r <= 3 the draws come by rejection from a Wishart envelope (of x or
+    of x^-1, whichever accepts more), tuned in closed form with no pilot
+    run; `acceptance_rate` is accepted over proposed draws, `step` is 0, and
+    `ok` is False only if a proposal exceeds the envelope (a fault).  Where
+    the first block of proposals accepts fewer than 1 % (a b ill
+    conditioned), and at r >= 4, the draws come from `_mgig_mcmc`, which
+    `mcmc` configures; exact draws ignore it.  `sampler` names which ran.
+    Split R-hat and ESS of log det X and tr X are attached either way.
+    """
+    cfg = mcmc or McmcConfig()
+    if -(-n // cfg.chains) < 4:
+        # split R-hat needs at least two draws in each half of every chain,
+        # and any run may fall back to the chains
+        raise DomainError(f"need n >= {3 * cfg.chains + 1} for {cfg.chains} "
+                          "chains (4 draws per chain)")
+    r = params.r
+    if -(-n // cfg.chains) * cfg.chains * r * r > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"{n} draws of {r} x {r} matrices are more float64 "
+                          "values than numpy can index")
+    run = _mgig_rejection(params, seed, n) if r <= 3 else None
+    return run if run is not None else _mgig_mcmc(params, seed, n, cfg)
+
+
+def _mgig_mcmc(params: MgigParams, seed: int, n: int,
+               mcmc: McmcConfig | None = None) -> MgigSample:
     """n MGIG draws by random-walk Metropolis on the Cholesky factor.
 
     Scale adaptation runs only during burn-in (the adapted step is then
@@ -444,16 +586,9 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
     definite in floating point raises NotSpdError.
     """
     cfg = mcmc or McmcConfig()
-    if -(-n // cfg.chains) < 4:
-        # split R-hat needs at least two draws in each half of every chain
-        raise DomainError(f"need n >= {3 * cfg.chains + 1} for {cfg.chains} "
-                          "chains (4 draws per chain)")
     r, chains = params.r, cfg.chains
     d = r * (r + 1) // 2
     per_chain = -(-n // chains)
-    if chains * per_chain * r * r > np.iinfo(np.intp).max // 8:
-        raise DomainError(f"{n} draws of {r} x {r} matrices are more float64 "
-                          "values than numpy can index")
     # an n too large to hold fails here, before any MCMC work
     kept = np.empty((chains, per_chain, r, r))
     rng = rng_stream(seed, 77_001)

@@ -340,6 +340,14 @@ class TestMonteCarloBalance:
         assert d["variant"] == "fdk" and "ks_stats" in d
         assert isinstance(d["independence"]["p_value"], float)
 
+    def test_matrix_variant_keeps_every_exact_draw(self):
+        # i.i.d. draws are not thinned: every KS test runs at n against n
+        # draws, and the independence test draws from every row
+        rep = balance.monte_carlo_balance(matrix_spec(), seed=5, n=1000)
+        assert {d["sampler"] for d in rep.mcmc.values()} == {"rejection"}
+        assert all(stat.n == 1000 for stat in rep.ks_stats.values())
+        assert rep.independence.n_used == 1000
+
     def test_matrix_variant(self):
         rep = balance.monte_carlo_balance(
             matrix_spec(), seed=41, n=6000,

@@ -32,9 +32,10 @@ def test_import_leaves_scipy_stats_unloaded():
     ["balance", "verify", "--variant", "fdk", "--n", "1000"],
     ["balance", "verify", "--variant", "psi", "--n", "1000"],
     ["balance", "verify", "--variant", "matrix", "--r", "2", "--n", "1000"],
+    ["balance", "verify", "--variant", "matrix", "--r", "3", "--n", "1000"],
     ["lattice", "stationarity", "--n", "40", "--t", "4", "--probes", "2,4"],
     ["dist", "check"],
-], ids=["fdk", "psi", "matrix", "lattice", "dist"])
+], ids=["fdk", "psi", "matrix", "matrix-r3", "lattice", "dist"])
 def test_ks_commands_leave_scipy_stats_unloaded(argv):
     # gigkdv.ks computes the KS tests of these commands without scipy.stats
     src = os.path.dirname(os.path.dirname(cli.__file__))

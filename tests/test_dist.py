@@ -230,11 +230,13 @@ def test_cdf_matches_oracle(law, xs):
         assert np.all(got[np.log(xs) <= t_lo] == 0.0)
 
 
-@pytest.mark.parametrize("lam,a,b,tol", [(2.0, 1e6, 1e6, 1e-13), (2.0, 1e8, 1e8, 1e-12)])
+@pytest.mark.parametrize("lam,a,b,tol", [(2.0, 1e6, 1e6, 1e-13), (2.0, 1e8, 1e8, 1e-12),
+                                         (2.0, 1e12, 1e12, 1e-12), (-3.5, 1e16, 1e16, 1e-12)])
 def test_cdf_matches_mpmath(lam, a, b, tol):
     # at large a b the two terms a x and b / x of the log density cancel
     # to within 2 sqrt(ab) of each other; their rounding once cost 6.8e-11
-    # at a = b = 1e6 and 5.4e-9 at 1e8
+    # at a = b = 1e6 and 5.4e-9 at 1e8.  Above 2 sqrt(ab) = 1e9 scipy's kve
+    # is nan, and a total mass of 0.029 at 1e12 came of it
     import mpmath as mp
 
     mp.mp.dps = 40
@@ -264,6 +266,24 @@ def test_cdf_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 100_000_000
+
+
+@pytest.mark.parametrize("a,cuts", [(1e12, 78), (1e16, 61)])
+def test_cdf_narrow_law_grid_bounded(a, cuts):
+    # the window once grew from a half-width of 1 by doubling, whatever
+    # the law's width: at a = b = 1e12 one point took 5,028,316 grid cuts
+    # and a 161 MB peak
+    law = dist.GigParams(2.0, a, a)
+    assert grid_size(law) == cuts
+    tracemalloc.start()
+    try:
+        got = dist.cdf(law, np.array([0.5, 1.0, 2.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    # the mass sits within about 1e-6 of x = 1, about half on each side
+    assert got[0] == 0.0 and abs(got[1] - 0.5) < 1e-3 and abs(got[2] - 1.0) < 1e-13
 
 
 @pytest.mark.parametrize("law,oracle", [

@@ -387,7 +387,7 @@ class TestMcmc:
         # by the sampler that built the Cholesky factor anew at every step
         law = matrix.MgigParams(p, *spd_pair(r, pair_seed))
         cfg = matrix.McmcConfig(burn_in=200, thin=3)
-        run = matrix.mgig_sample(law, seed, 240, mcmc=cfg)
+        run = matrix._mgig_mcmc(law, seed, 240, mcmc=cfg)
         assert run.draws.shape == (240, r, r)
         assert hashlib.sha256(run.draws.tobytes()).hexdigest() == digest
         assert run.acceptance_rate == acc_rate
@@ -402,7 +402,7 @@ class TestMcmc:
         law = matrix.MgigParams(0.5 * r + 0.8, *spd_pair(r, 31 + r))
         cfg = None if burn_in is None else matrix.McmcConfig(burn_in=burn_in, thin=thin)
         seed = 1000 * r + n
-        got = matrix.mgig_sample(law, seed, n, mcmc=cfg)
+        got = matrix._mgig_mcmc(law, seed, n, mcmc=cfg)
         want = oracle_mgig_sample(law, seed, n, mcmc=cfg)
         assert got.draws.shape == (n, r, r)
         assert np.array_equal(got.draws, want.draws)
@@ -430,6 +430,129 @@ class TestMcmc:
         r1 = matrix.mgig_sample(law, seed=5, n=500)
         r2 = matrix.mgig_sample(law, seed=5, n=500)
         assert np.array_equal(r1.draws, r2.draws)
+
+
+def random_mgig(r, rng):
+    # lambda uniform on [-3, 3]; rates random_spd scaled by e^s and e^-s,
+    # s uniform on [-3, 3]
+    s, lam = rng.uniform(-3.0, 3.0, size=2)
+    return matrix.MgigParams(lam, matrix.random_spd(r, rng) * math.exp(s),
+                             matrix.random_spd(r, rng) * math.exp(-s))
+
+
+def log_h(p, a, b, nu, x):
+    # the MGIG(p, a, b) kernel over the Wishart(nu, a^-1) kernel, from x
+    # itself rather than from its Bartlett factor
+    k = 0.5 * nu - p
+    return (-k * np.linalg.slogdet(x)[1]
+            - 0.5 * np.einsum("ij,nji->n", b, np.linalg.inv(x)))
+
+
+def mgig_functionals(x):
+    return np.stack([np.linalg.slogdet(x)[1], np.trace(x, axis1=1, axis2=2),
+                     x[:, 0, 1]])
+
+
+def is_oracle_moments(law, seed, n=100_000):
+    """Self-normalized IS means of `mgig_functionals` and their delta-method
+    standard errors, from the Wishart proposal that `mgig_log_norm` uses,
+    built for x or, at lambda < 0, for x^-1 ~ MGIG(-p, b, a)."""
+    mirror = law.p < 0.0
+    side = matrix.MgigParams(-law.p, law.b, law.a) if mirror else law
+    df, v = matrix._wishart_proposal(side)
+    normals, diag = matrix._bartlett_variates(df, law.r, n, rng_stream(seed, 5))
+    y = matrix._wishart_draws(np.linalg.cholesky(v), normals, diag)
+    ld = np.linalg.slogdet(y)[1]
+    lw = matrix._log_kernel(side, y, ld) - matrix._wishart_log_pdf(df, v, y, ld)
+    w = np.exp(lw - lw.max())
+    w /= w.sum()
+    assert 1.0 / np.sum(w ** 2) >= 1000.0  # the oracle's own effective size
+    f = mgig_functionals(np.linalg.inv(y) if mirror else y)
+    mean = f @ w
+    return mean, np.sqrt((f - mean[:, None]) ** 2 @ w ** 2)
+
+
+class TestExactSampler:
+    def test_r1_matches_gig_cdf(self):
+        # MGIG(p, a, b) at r = 1 is GIG(p, a/2, b/2); both envelopes are taken
+        rng = rng_stream(2027, 1)
+        p_values, sides = [], set()
+        for i in range(20):
+            lam, a, b = rng.uniform(-3.0, 3.0), *np.exp(rng.uniform(-3.0, 3.0, 2))
+            law = matrix.MgigParams(lam, np.array([[a]]), np.array([[b]]))
+            sides.add(matrix._envelope(-lam, law.b, law.a)[0]
+                      < matrix._envelope(lam, law.a, law.b)[0])
+            run = matrix.mgig_sample(law, i, 20_000)
+            assert run.sampler == "rejection" and run.ok
+            gig = dist.GigParams(lam, a / 2.0, b / 2.0)
+            p_values.append(stats.kstest(run.draws[:, 0, 0],
+                                         lambda q: dist.cdf(gig, q)).pvalue)
+        assert sides == {False, True}
+        assert min(p_values) > 0.001, p_values
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_envelope_bounds_kernel_ratio(self, r):
+        # h <= sup h over 7 random laws, both sides, 5,000 proposals each;
+        # and the closed-form sup h is attained at x = b / (2k)
+        rng = rng_stream(2028, r)
+        for _ in range(7):
+            law = random_mgig(r, rng)
+            for p, a, b in ((law.p, law.a, law.b), (-law.p, law.b, law.a)):
+                _, nu, k, log_sup = matrix._envelope(p, a, b)
+                normals, diag = matrix._bartlett_variates(nu, r, 5000, rng)
+                chol_v = np.linalg.cholesky(np.linalg.inv(a))
+                x = matrix._wishart_draws(chol_v, normals, diag)
+                # chi2 variates of small df can leave x singular in floating point
+                ok = np.linalg.cond(x) < 1e12
+                assert np.count_nonzero(ok) > 4000
+                assert np.max(log_h(p, a, b, nu, x[ok]) - log_sup) <= 1e-9
+                top = log_h(p, a, b, nu, (b / (2.0 * k))[None])[0]
+                assert top == pytest.approx(log_sup, abs=1e-9 * max(1.0, abs(log_sup)))
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_moments_match_importance_oracle(self, r):
+        # means of log det x, tr x and x_01 over 20,000 exact draws against
+        # a self-normalized IS estimate from the mode-matched Wishart
+        # proposal of x (lambda >= 0) or of x^-1 (lambda < 0), within 4
+        # combined standard errors, at 6 random laws
+        rng = rng_stream(2029, r)
+        for i in range(6):
+            law = random_mgig(r, rng)
+            draws = matrix.mgig_sample(law, i, 20_000).draws
+            got = mgig_functionals(draws)
+            mean, se = got.mean(axis=1), got.std(axis=1) / math.sqrt(len(draws))
+            want, want_se = is_oracle_moments(law, i)
+            assert np.all(np.abs(mean - want) <= 4.0 * np.hypot(se, want_se)), (law, i)
+
+    def test_singular_proposals_rejected(self):
+        # the search picks nu of about 2.57 here, so chi2(nu - 2) variates
+        # underflow to 0; such proposals are rejected without a warning
+        law = matrix.MgigParams(0.0, np.eye(3), np.eye(3))
+        assert 2.5 < matrix._envelope(0.0, law.a, law.b)[1] < 2.6
+        run = matrix.mgig_sample(law, 3, 4000)
+        assert run.sampler == "rejection" and run.ok
+        assert np.all(np.linalg.eigvalsh(run.draws) > 0.0)
+        assert 0.01 <= run.acceptance_rate < 0.02
+
+    def test_ill_conditioned_falls_back_to_chains(self):
+        law = matrix.MgigParams(0.0, np.diag([1e2, 1e-2]), np.eye(2))
+        cfg = matrix.McmcConfig(burn_in=200, thin=2)
+        got = matrix.mgig_sample(law, 11, 400, mcmc=cfg)
+        want = matrix._mgig_mcmc(law, 11, 400, mcmc=cfg)
+        assert got.sampler == "mcmc"
+        assert np.array_equal(got.draws, want.draws)
+        assert got.diagnostics_dict() == want.diagnostics_dict()
+
+    @pytest.mark.parametrize("r,p", [(1, -1.5), (2, 0.5), (2, -2.0), (3, 1.7)])
+    def test_same_seed_same_bytes(self, r, p):
+        # exact draws ignore the chains' burn-in and thinning
+        law = matrix.MgigParams(p, *spd_pair(r, 7))
+        r1 = matrix.mgig_sample(law, 9, 3000)
+        r2 = matrix.mgig_sample(law, 9, 3000, mcmc=matrix.McmcConfig(burn_in=0, thin=1))
+        assert r1.sampler == "rejection"
+        assert r1.draws.tobytes() == r2.draws.tobytes()
+        assert r1.diagnostics_dict() == r2.diagnostics_dict()
+        assert r1.step == 0.0 and r1.draws.shape == (3000, r, r)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
