@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, kve
+from scipy.special import gammainc, gammaincc
 
 from . import specfun
 from .errors import DomainError, positive
@@ -99,19 +99,7 @@ def _log_weight_center(law: GigParams):
     # integrand of the CDF after x = e^t, w(t) = f(e^t) e^t, for a, b > 0: no
     # terms of size z = 2 sqrt(ab) cancel, so the rounding does not grow with z
     z = 2.0 * math.sqrt(law.a * law.b)
-    nu = abs(law.lam)
-    with np.errstate(divide="ignore"):  # kve is inf at small z, 0 at infinite z
-        log_kve = float(np.log(kve(nu, z)))
-    if math.isnan(log_kve) and nu * nu < z:
-        # kve is nan above z = 1e9, where log K + z would cancel to nothing;
-        # Hankel's expansion (DLMF 10.40.2) has falling terms while nu^2 < z
-        term = total = 1.0
-        for k in range(1, 60):
-            term *= (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * z)
-            total += term
-        log_kve = 0.5 * math.log(math.pi / (2.0 * z)) + math.log(total)
-    elif not math.isfinite(log_kve):
-        log_kve = specfun.bessel_k_log(law.lam, z) + z
+    log_kve = specfun.bessel_k_log_scaled(law.lam, z)
     return -math.log(2.0) - log_kve, 0.5 * (math.log(law.b) - math.log(law.a)), z
 
 

@@ -14,9 +14,11 @@ has density proportional to
 on the SPD cone.  Its normalizer has no closed form for r >= 2 and is
 estimated by importance sampling against a mode-matched Wishart proposal,
 drawn in vectorized blocks by the Bartlett decomposition (exact Bessel
-form at r = 1).  Draws at r <= 3 are exact: Bartlett draws from a Wishart
-envelope of x or of x^-1, accepted with probability h / sup h, where sup h
-has a closed form.  At r >= 4, and where the envelope accepts under 1 %
+form at r = 1).  Each weight comes from the Bartlett factor itself: log
+det x, tr(a x) and tr(b x^-1) need no x, Cholesky or inverse per draw.
+Draws at r <= 3 are exact: Bartlett draws from a Wishart envelope of x or
+of x^-1, accepted with probability h / sup h, where sup h has a closed
+form.  At r >= 4, and where the envelope accepts under 1 %
 (a b ill conditioned), sampling is Metropolis-Hastings on the Cholesky
 factor with burn-in-only scale adaptation.
 
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import multigammaln
 
 from . import specfun
 from .errors import DomainError, IllConditionedError, NotSpdError
@@ -290,23 +291,11 @@ def _wishart_proposal(params: MgigParams):
     return df, check_spd(v, "proposal scale")
 
 
-def _wishart_log_pdf(df: float, v: np.ndarray, x: np.ndarray,
-                     ld_x: np.ndarray) -> np.ndarray:
-    # ld_x is log det x, which the caller shares with the target density
-    r = v.shape[0]
-    vinv = np.linalg.inv(v)
-    return (0.5 * (df - r - 1.0) * ld_x
-            - 0.5 * np.einsum("ij,kji->k", vinv, x)
-            - 0.5 * df * r * math.log(2.0)
-            - 0.5 * df * _logdet_spd(v)
-            - multigammaln(0.5 * df, r))
-
-
 def _bartlett_variates(df: float, r: int, n: int, rng: np.random.Generator):
-    # the random part of n Bartlett draws (see `_wishart_draws`): the
-    # normals below the diagonal, (n, r(r-1)/2), then the diagonal
-    # sqrt(chi2(df - i)), (r, n), drawn in the order scipy.stats.wishart.rvs
-    # consumes the generator
+    # the random part of n Bartlett draws x = C A A^T C^T, C = chol(v), with
+    # A from `_bartlett_factors`: the normals below the diagonal,
+    # (n, r(r-1)/2), then the diagonal sqrt(chi2(df - i)), (r, n), drawn in
+    # the order scipy.stats.wishart.rvs consumes the generator
     normals = rng.normal(size=n * (r * (r - 1) // 2)).reshape(n, -1)
     diag = np.empty((r, n))
     for i in range(r):
@@ -325,11 +314,39 @@ def _bartlett_factors(normals: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return a
 
 
-def _wishart_draws(chol_v: np.ndarray, normals: np.ndarray,
-                   diag: np.ndarray) -> np.ndarray:
-    # Bartlett (1933): x = C A A^T C^T with C = chol(v)
-    a = chol_v @ _bartlett_factors(normals, diag)
-    return a @ np.swapaxes(a, -1, -2)
+def _lower_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # low^-1 rhs for a batch of lower triangular low, by forward
+    # substitution; a zero pivot gives inf or nan, not an error
+    y = np.empty(low.shape[:1] + rhs.shape)
+    for i in range(rhs.shape[0]):
+        y[:, i] = (rhs[i] - np.einsum("nj,njk->nk", low[:, i, :i], y[:, :i])
+                   ) / low[:, i, i, None]
+    return y
+
+
+def _factor_terms(factor: np.ndarray, diag: np.ndarray, whiten: np.ndarray):
+    # (log det A A^T, |A^-1 whiten|_F^2) of each Bartlett factor A, whose
+    # diagonal is `diag`: for y = C A A^T C^T, log det y adds log det C C^T
+    # to the first, and tr(B y^-1) is the second when whiten = C^-1 chol(B)
+    return (2.0 * np.sum(np.log(diag), axis=0),
+            np.sum(_lower_solve(factor, whiten) ** 2, axis=(1, 2)))
+
+
+def _is_log_weights(params: MgigParams, df: float, v: np.ndarray,
+                    normals: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    # log MGIG kernel over Wishart(df, v) density at the Bartlett draws
+    # x = C A A^T C^T, C = chol(v), with v = 2 a^-1 (`_wishart_proposal`).
+    # Then tr(v^-1 x) = |A|_F^2 and tr(a x) = 2 |A|_F^2, so the weights come
+    # from the factor A alone, without forming x
+    r = params.r
+    chol_v = np.linalg.cholesky(v)
+    ld_v = 2.0 * float(np.sum(np.log(np.diagonal(chol_v))))
+    whiten = np.linalg.solve(chol_v, np.linalg.cholesky(params.b))
+    # log of the Wishart normalizer, by which its kernel is divided
+    log_norm_w = 0.5 * df * (r * math.log(2.0) + ld_v) + _log_gamma_r(0.5 * df, r)
+    ld_a, tr_bxi = _factor_terms(_bartlett_factors(normals, diag), diag, whiten)
+    frob = np.sum(normals ** 2, axis=1) + np.sum(diag ** 2, axis=0)
+    return (params.p - 0.5 * df) * (ld_v + ld_a) - 0.5 * (frob + tr_bxi) + log_norm_w
 
 
 def mgig_log_norm(params: MgigParams, seed: int = 0, n: int = 200_000):
@@ -337,8 +354,9 @@ def mgig_log_norm(params: MgigParams, seed: int = 0, n: int = 200_000):
 
     r = 1 is the exact scalar Bessel form (se = 0).  For r >= 2 the
     normalizer is estimated by importance sampling from the mode-matched
-    Wishart proposal; the returned se is the delta-method error of the log
-    and should gate any tolerance that consumes this value.
+    Wishart proposal x = C A A^T C^T, each weight computed from the Bartlett
+    factor A without forming x; the returned se is the delta-method error
+    of the log and should gate any tolerance that consumes this value.
     """
     if params.r == 1:
         a, b = float(params.a[0, 0]), float(params.b[0, 0])
@@ -347,15 +365,12 @@ def mgig_log_norm(params: MgigParams, seed: int = 0, n: int = 200_000):
         return ln, 0.0
     df, v = _wishart_proposal(params)
     normals, diag = _bartlett_variates(df, params.r, n, rng_stream(seed, 90_001))
-    chol_v = np.linalg.cholesky(v)
-    # the draws are built and weighed _BLOCK at a time, so only the
-    # variates and the log weights are held for all n
+    # the draws are weighed _BLOCK at a time, so only the variates and the
+    # log weights are held for all n
     lw = np.empty(n)
     for s in range(0, n, _BLOCK):
         block = slice(s, s + _BLOCK)
-        x = _wishart_draws(chol_v, normals[block], diag[:, block])
-        ld = _logdet_spd(x)
-        lw[block] = _log_kernel(params, x, ld) - _wishart_log_pdf(df, v, x, ld)
+        lw[block] = _is_log_weights(params, df, v, normals[block], diag[:, block])
     m = np.max(lw)
     w = np.exp(lw - m)
     mean_w = float(np.mean(w))
@@ -483,16 +498,6 @@ def _envelope(p: float, a: np.ndarray, b: np.ndarray):
     return terms(0.5 * (s0 + s1))
 
 
-def _lower_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    # low^-1 rhs for a batch of lower triangular low, by forward
-    # substitution; a zero pivot gives inf or nan, not an error
-    y = np.empty(low.shape[:1] + rhs.shape)
-    for i in range(rhs.shape[0]):
-        y[:, i] = (rhs[i] - np.einsum("nj,njk->nk", low[:, i, :i], y[:, :i])
-                   ) / low[:, i, i, None]
-    return y
-
-
 def _mgig_rejection(params: MgigParams, seed: int, n: int) -> MgigSample | None:
     # exact draws by rejection from the better of two Wishart envelopes:
     # of x ~ MGIG(p, a, b), or of x^-1 ~ MGIG(-p, b, a) (the normalizer is
@@ -505,8 +510,8 @@ def _mgig_rejection(params: MgigParams, seed: int, n: int) -> MgigSample | None:
     r = params.r
     out = np.empty((n, r, r))
     ld = np.empty(n)
-    # the proposal is y = C A A^T C^T with C = chol(a^-1), so log det y
-    # comes from the diagonal of A, and tr(b y^-1) = |A^-1 C^-1 chol(b)|_F^2
+    # the proposal is y = C A A^T C^T with C = chol(a^-1), weighed from A
+    # by `_factor_terms`
     chol_v = np.linalg.cholesky(np.linalg.inv(a))
     ld_v = -_logdet_spd(a)
     c_inv = np.linalg.inv(chol_v)
@@ -520,9 +525,9 @@ def _mgig_rejection(params: MgigParams, seed: int, n: int) -> MgigSample | None:
         # chi-square variates of small df underflow to 0, so a proposal may
         # be singular; its log h is not finite and it is rejected
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ld_y = 2.0 * np.sum(np.log(diag), axis=0) + ld_v
-            log_h = -k * ld_y - 0.5 * np.sum(_lower_solve(factor, whiten) ** 2,
-                                              axis=(1, 2))
+            ld_a, tr_byi = _factor_terms(factor, diag, whiten)
+            ld_y = ld_a + ld_v
+            log_h = -k * ld_y - 0.5 * tr_byi
         log_h[~np.isfinite(log_h)] = -np.inf
         worst = max(worst, float(np.max(log_h)) - log_sup)
         keep = np.flatnonzero(np.log(rng.random(_BLOCK)) < log_h - log_sup)

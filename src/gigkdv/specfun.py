@@ -10,7 +10,8 @@ defining integral
 
 is kept as an independent cross-check (`bessel_k_quadrature`) and as the
 fallback where the scaled routines leave double range (tiny z with large
-|nu|).
+|nu|), and above z = 1e9, where the scaled K routine gives nan, Hankel's
+expansion (DLMF 10.40.2) stands in while nu^2 < z.
 
 K is even in its order; that symmetry is enforced by construction, so
 ``bessel_k(nu, z)`` and ``bessel_k(-nu, z)`` are bitwise identical.
@@ -26,6 +27,7 @@ from .errors import DomainError, positive
 __all__ = [
     "bessel_k",
     "bessel_k_log",
+    "bessel_k_log_scaled",
     "bessel_i",
     "bessel_i_log",
     "bessel_k_quadrature",
@@ -50,11 +52,20 @@ _BESSEL_Z = "Bessel argument must be finite and > 0"
 
 
 def bessel_k_log(nu: float, z) -> float | np.ndarray:
-    """log K_nu(z) for z > 0, any real nu.
+    """log K_nu(z) for z > 0, any real nu: `bessel_k_log_scaled` minus z."""
+    out = bessel_k_log_scaled(nu, z) - positive(_BESSEL_Z, z)
+    return float(out) if out.ndim == 0 else out
+
+
+def bessel_k_log_scaled(nu: float, z) -> float | np.ndarray:
+    """log(e^z K_nu(z)) for z > 0, any real nu, which does not lose the
+    digits that adding z to log K_nu(z) would at large z.
 
     Stable over the whole (nu, z) range the samplers hit: overflow of the
     scaled routine (z << 1 with |nu| large) falls back to the quadrature of
-    the defining integral, which works directly in log space.
+    the defining integral, which works directly in log space.  Above
+    z = 1e9 the scaled routine gives nan, and Hankel's expansion (DLMF
+    10.40.2) stands in while its terms fall (nu^2 < z).
     """
     if not math.isfinite(nu):
         raise DomainError("Bessel order must be finite")
@@ -63,10 +74,20 @@ def bessel_k_log(nu: float, z) -> float | np.ndarray:
     scalar = z.ndim == 0
     zv = np.atleast_1d(z)
     with np.errstate(over="ignore", divide="ignore"):
-        out = np.log(kve(nu, zv)) - zv
+        out = np.log(kve(nu, zv))
+    # kve is also nan at some subnormal orders, where z may be too small for
+    # 59 terms of the expansion; from z = 1e3 they fall to below rounding
+    hankel = np.isnan(out) & (nu * nu < zv) & (zv >= 1e3)
+    if np.any(hankel):
+        zh = zv[hankel]
+        term, total = np.ones_like(zh), np.ones_like(zh)
+        for k in range(1, 60):
+            term *= (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k * zh)
+            total += term
+        out[hankel] = 0.5 * np.log(np.pi / (2.0 * zh)) + np.log(total)
     bad = ~np.isfinite(out)
     if np.any(bad):
-        out[bad] = [bessel_k_log_quadrature(nu, float(zi)) for zi in zv[bad]]
+        out[bad] = [bessel_k_log_quadrature(nu, float(zi)) + zi for zi in zv[bad]]
     return float(out[0]) if scalar else out
 
 

@@ -66,6 +66,18 @@ class TestLogPdf:
     def test_density_normalized(self, law):
         assert quad_integral(law) == pytest.approx(1.0, abs=1e-9)
 
+    def test_density_normalized_above_kve_range(self):
+        # at z = 2 sqrt(ab) = 2e10 scipy's kve is nan; the normalizer once
+        # came from a quadrature fallback off by 1.24 nats, and the mass was
+        # 0.290.  log_pdf sums terms of size z, whose spacing of 3.8e-6 sets
+        # the floor: the mass is 1 + 2.7e-6 by the trapezoid rule over
+        # mode +- 40 sd, which converges spectrally here
+        law = dist.GigParams(2.0, 1e10, 1e10)
+        sd = 1.0 / math.sqrt(2e10)
+        xs = np.linspace(1.0 - 40.0 * sd, 1.0 + 40.0 * sd, 4001)
+        mass = np.sum(np.exp(dist.log_pdf(law, xs))) * (xs[1] - xs[0])
+        assert mass == pytest.approx(1.0, abs=1e-5)
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             dist.log_pdf(LAWS[0], 0.0)

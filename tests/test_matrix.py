@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.special import multigammaln
 
 from gigkdv import balance, dist, matrix, maps, specfun
 from gigkdv.errors import DomainError, IllConditionedError, NotSpdError
@@ -147,10 +148,44 @@ class TestMgigDensity:
             assert matrix.mgig_log_pdf_unnorm(law, m + d) <= f0 + 1e-10
 
 
+def wishart_draws(chol_v, normals, diag):
+    """Bartlett (1933): x = C A A^T C^T with C = chol_v and A the factor of
+    `normals` and `diag`."""
+    a = chol_v @ matrix._bartlett_factors(normals, diag)
+    return a @ np.swapaxes(a, -1, -2)
+
+
+def wishart_log_pdf(df, v, x, ld_x):
+    """Wishart(df, v) log density at a batch x whose log det is ld_x, from x
+    itself: the oracle of the importance weights."""
+    r = v.shape[0]
+    return (0.5 * (df - r - 1.0) * ld_x
+            - 0.5 * np.einsum("ij,kji->k", np.linalg.inv(v), x)
+            - 0.5 * df * r * math.log(2.0)
+            - 0.5 * df * matrix._logdet_spd(v)
+            - multigammaln(0.5 * df, r))
+
+
+def extended_logdet_inv(x):
+    """(log det x, x^-1) of a batch of SPD x by Gauss-Jordan elimination
+    without pivoting, in the precision of x's dtype."""
+    r = x.shape[-1]
+    aug = np.concatenate([x, np.broadcast_to(np.eye(r, dtype=x.dtype), x.shape)], axis=-1)
+    ld = np.zeros(len(x), dtype=x.dtype)
+    for j in range(r):
+        pivot = aug[:, j, j].copy()
+        ld += np.log(pivot)
+        aug[:, j] /= pivot[:, None]
+        col = aug[:, :, j].copy()
+        col[:, j] = 0.0
+        aug -= col[:, :, None] * aug[:, None, j]
+    return ld, aug[..., r:]
+
+
 def bartlett_draws(df, v, n, rng):
     """n Wishart(df, v) draws, all at once, through the Bartlett helpers."""
     variates = matrix._bartlett_variates(df, v.shape[0], n, rng)
-    return matrix._wishart_draws(np.linalg.cholesky(v), *variates)
+    return wishart_draws(np.linalg.cholesky(v), *variates)
 
 
 class TestNormalizer:
@@ -171,19 +206,29 @@ class TestNormalizer:
                 assert got_rng.random() == want_rng.random()
 
     def test_importance_sampling_matches_exact_r1(self):
-        # run the generic IS machinery on an r = 1 law, where the
+        # run the shipped importance weights on an r = 1 law, where the
         # normalizer has the exact Bessel form
         law = matrix.MgigParams(0.8, np.array([[2.0]]), np.array([[1.3]]))
         exact, _ = matrix.mgig_log_norm(law)
         df, v = matrix._wishart_proposal(law)
-        draws = bartlett_draws(df, v, 200_000, rng_stream(17, 90_001))
-        lw = (matrix.mgig_log_pdf_unnorm(law, draws)
-              - matrix._wishart_log_pdf(df, v, draws, matrix._logdet_spd(draws)))
+        variates = matrix._bartlett_variates(df, 1, 200_000, rng_stream(17, 90_001))
+        lw = matrix._is_log_weights(law, df, v, *variates)
         m = lw.max()
         w = np.exp(lw - m)
         est = m + math.log(w.mean())
         se = w.std() / (w.mean() * math.sqrt(len(w)))
         assert abs(est - exact) <= 3.0 * se
+
+    def test_exact_r1_above_kve_range(self):
+        # sqrt(ab) = 1e10 lies above the range of scipy's kve
+        import mpmath as mp
+
+        mp.mp.dps = 40
+        law = matrix.MgigParams(0.8, np.array([[2e10]]), np.array([[5e9]]))
+        want = mp.log(2) + 0.4 * mp.log(mp.mpf(5e9) / 2e10) + mp.log(mp.besselk(0.8, 1e10))
+        got, se = matrix.mgig_log_norm(law)
+        assert se == 0.0
+        assert float(abs(got - want)) <= 1e-15 * float(abs(want))
 
     def test_seed_consistency_r2(self):
         law = matrix.MgigParams(1.3, *spd_pair(2, 9))
@@ -191,15 +236,44 @@ class TestNormalizer:
         ln2, se2 = matrix.mgig_log_norm(law, seed=2, n=80_000)
         assert abs(ln1 - ln2) <= 3.0 * math.hypot(se1, se2)
 
+    # pinned at aeafd57, when the importance weights were computed from x
+    X_BASED_PINS = {2: (-0.7734063559004278, 0.0024171556772016878),
+                    3: (3.6035974382676996, 0.0035338161771855904)}
+
     @pytest.mark.parametrize("r,p,pair_seed,want", [
-        (2, 1.3, 9, (-0.7734063559004278, 0.0024171556772016878)),
-        (3, 2.2, 4, (3.6035974382676996, 0.0035338161771855904)),
+        (2, 1.3, 9, (-0.7734063559004283, 0.002417155677201687)),
+        (3, 2.2, 4, (3.6035974382676996, 0.00353381617718559)),
     ])
     def test_pinned_estimate(self, r, p, pair_seed, want):
-        # recorded at aeafd57, when all n draws were built in one array; the
-        # blocks must not move a bit
+        # re-recorded when the weights came from the Bartlett factor; the
+        # blocks must not move a bit.  The draws are those of the x-based
+        # pins, so the two agree to rounding
+        assert np.allclose(want, self.X_BASED_PINS[r], rtol=0.0, atol=1e-14)
         law = matrix.MgigParams(p, *spd_pair(r, pair_seed))
         assert matrix.mgig_log_norm(law, seed=5, n=400_000) == want
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_log_weights_match_x_oracle(self, r):
+        # per-draw log weights from the Bartlett factor against the MGIG
+        # kernel over the Wishart density, both evaluated at x itself, at 6
+        # laws per r: lambda on [-3, 3], rates random_spd scaled by e^s and
+        # e^-s, s on [-2, 2].  The oracle runs in extended precision: formed
+        # in double, x of condition number 6e5 alone moves it by 2e-11 |lw|
+        rng = rng_stream(2030, r)
+        for i in range(6):
+            s, lam = rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0)
+            law = matrix.MgigParams(lam, matrix.random_spd(r, rng) * math.exp(s),
+                                    matrix.random_spd(r, rng) * math.exp(-s))
+            df, v = matrix._wishart_proposal(law)
+            normals, diag = matrix._bartlett_variates(df, r, 2000, rng_stream(i, 90_001))
+            got = matrix._is_log_weights(law, df, v, normals, diag)
+            x = wishart_draws(np.linalg.cholesky(v).astype(np.longdouble), normals, diag)
+            ld, x_inv = extended_logdet_inv(x)
+            kernel = ((law.p - 0.5 * (r + 1)) * ld
+                      - 0.5 * (np.einsum("ij,nji->n", law.a, x)
+                               + np.einsum("ij,nji->n", law.b, x_inv)))
+            want = (kernel - wishart_log_pdf(df, v, x, ld)).astype(float)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (r, i)
 
     def test_memory_bounded(self):
         # one (n, r, r) array per step once took a 35 MB peak at this size
@@ -461,9 +535,9 @@ def is_oracle_moments(law, seed, n=100_000):
     side = matrix.MgigParams(-law.p, law.b, law.a) if mirror else law
     df, v = matrix._wishart_proposal(side)
     normals, diag = matrix._bartlett_variates(df, law.r, n, rng_stream(seed, 5))
-    y = matrix._wishart_draws(np.linalg.cholesky(v), normals, diag)
+    y = wishart_draws(np.linalg.cholesky(v), normals, diag)
     ld = np.linalg.slogdet(y)[1]
-    lw = matrix._log_kernel(side, y, ld) - matrix._wishart_log_pdf(df, v, y, ld)
+    lw = matrix._log_kernel(side, y, ld) - wishart_log_pdf(df, v, y, ld)
     w = np.exp(lw - lw.max())
     w /= w.sum()
     assert 1.0 / np.sum(w ** 2) >= 1000.0  # the oracle's own effective size
@@ -501,7 +575,7 @@ class TestExactSampler:
                 _, nu, k, log_sup = matrix._envelope(p, a, b)
                 normals, diag = matrix._bartlett_variates(nu, r, 5000, rng)
                 chol_v = np.linalg.cholesky(np.linalg.inv(a))
-                x = matrix._wishart_draws(chol_v, normals, diag)
+                x = wishart_draws(chol_v, normals, diag)
                 # chi2 variates of small df can leave x singular in floating point
                 ok = np.linalg.cond(x) < 1e12
                 assert np.count_nonzero(ok) > 4000

@@ -65,6 +65,24 @@ class TestBesselK:
         want = -800.0 + 0.5 * math.log(math.pi / (2.0 * 800.0))
         assert specfun.bessel_k_log(1.0, 800.0) == pytest.approx(want, rel=1e-3)
 
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 2.0, 3.5])
+    def test_log_above_scaled_routine_range(self, nu):
+        # scipy's kve is nan above z = 1e9; the quadrature fallback once
+        # gave log K_0(2e10) = -20000000010.397 for -20000000011.634
+        import mpmath as mp
+
+        mp.mp.dps = 40
+        for z in (2e9, 2e10, 2e12, 2e16):
+            want = mp.log(mp.besselk(nu, z))
+            assert float(abs(specfun.bessel_k_log(nu, z) - want)) <= 1e-15 * float(-want)
+            scaled = specfun.bessel_k_log_scaled(nu, z)
+            assert float(abs(scaled - (want + z))) <= 1e-15 * float(abs(want + z))
+
+    def test_subnormal_order(self):
+        # scipy's kve is nan here too, at a z where Hankel's expansion diverges
+        want = specfun.bessel_k_log(0.0, 2.0)
+        assert specfun.bessel_k_log(2.225073858507e-311, 2.0) == pytest.approx(want, rel=1e-14)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             specfun.bessel_k(1.0, 0.0)
