@@ -214,7 +214,10 @@ def transport_grid_max(spec: BalanceSpec, grid_n: int = 20,
 # distance-correlation independence test
 # ---------------------------------------------------------------------------
 
-_BATCH_CELLS = 1 << 16  # permutation cells per batch: 65 permutations at m = 1000
+# Permutation cells per batch: 65 permutations at m = 1000.  For d > 1 it is
+# also the size of a block of rows, and of each of the two gather buffers
+# that every permutation of the triangle sums reuses.
+_BATCH_CELLS = 1 << 16
 # Permutation statistics within this relative distance of the observed one
 # count as ties (>=): round-off, about 1e-13 relative, must not split
 # statistics that are mathematically equal, as with tied data or m = 2.
@@ -241,13 +244,21 @@ def _dist_matrix(z: np.ndarray) -> np.ndarray:
 
 def _dcor_matrices(u: np.ndarray, v: np.ndarray):
     """Statistic of (u, v[idx]) for rows idx, from the double-centered
-    distance matrices of (m, d) samples; None if a sample is constant.
+    distance matrices A of u and B of v, (m, d) samples; None if a sample
+    is constant.
 
-    rows=None gives the observed pairing.  That call overwrites v's matrix,
-    so it comes last.  At most two m x m matrices are held at once: v's is
-    built, squared for its dVar and dropped before u's is built, then built
-    again.  Each permutation is summed over blocks of about _BATCH_CELLS
-    cells of re-indexed rows.
+    A and B are symmetric, so over blocks of rows [s, e) of about
+    _BATCH_CELLS cells a permutation's sum_ij A_ij B[idx_i, idx_j] is the
+    sum of <A[s:e, s:e], B_idx[s:e, s:e]> + <2 A[s:e, e:], B_idx[s:e, e:]>:
+    532,000 cells at m = 1000, not 1,000,000.  The two pieces of A are
+    packed once as contiguous arrays (np.vdot copies a strided operand), and
+    each block's gathers of B go into two buffers allocated once.
+
+    rows=None gives the observed pairing, as the mean over the full
+    matrices; it drops the packed pieces and overwrites B, so it comes
+    last.  At most two m x m matrices are held at once: B is built, squared
+    for its dVar and dropped; A is built, packed and dropped; B is built
+    again for the permutations; A is built again for the observed pairing.
     """
     m = len(u)
     cb = _dist_matrix(v)
@@ -257,16 +268,38 @@ def _dcor_matrices(u: np.ndarray, v: np.ndarray):
     dvar = math.sqrt(max(float((ca * ca).mean()), 0.0) * max(var_v, 0.0))
     if dvar <= 0.0:
         return None
+    step = min(m, max(1, _BATCH_CELLS // m))
+    # (s, A[s:e, s:e], 2 A[s:e, e:]) of each block of rows; buffers for the
+    # rows B[idx[s:e]] and for their gathered square and upper part
+    pieces = [(s, ca[s:s + step, s:s + step].copy(), 2.0 * ca[s:s + step, s + step:])
+              for s in range(0, m, step)]
+    del ca
     cb = _dist_matrix(v)
-    step = max(1, _BATCH_CELLS // m)
-    blocks = [slice(s, s + step) for s in range(0, m, step)]
+    bufs = [np.empty(step * m), np.empty(step * m)]
+
+    def dcov2_of(idx, row_buf, col_buf):
+        # mode="clip" lets take write straight into `out`; under the default
+        # "raise" numpy gathers into a temporary and copies.  A permutation's
+        # indices are all in range, so nothing is clipped.
+        total = 0.0
+        for s, a_sq, a_up in pieces:
+            k = len(a_sq)
+            e = s + k
+            rows = cb.take(idx[s:e], 0, out=row_buf[:k * m].reshape(k, m), mode="clip")
+            b_sq = rows.take(idx[s:e], 1, out=col_buf[:k * k].reshape(k, k), mode="clip")
+            b_up = rows.take(idx[e:], 1, out=col_buf[k * k:k * (m - s)].reshape(k, m - e),
+                             mode="clip")
+            total += np.vdot(a_sq, b_sq) + np.vdot(a_up, b_up)
+        return total
 
     def dcor_of(rows):
         if rows is None:
+            pieces.clear()
+            bufs.clear()
+            ca = _dist_matrix(u)
             dcov2 = max(float(np.multiply(ca, cb, out=cb).mean()), 0.0)
             return np.array([math.sqrt(dcov2 / dvar)])
-        dcov2 = np.array([sum(np.vdot(ca[blk], cb.take(idx[blk], 0).take(idx, 1))
-                              for blk in blocks) for idx in rows]) / (float(m) * m)
+        dcov2 = np.array([dcov2_of(idx, *bufs) for idx in rows]) / (float(m) * m)
         return np.sqrt(np.maximum(dcov2, 0.0) / dvar)
 
     return dcor_of
@@ -364,10 +397,13 @@ def distance_correlation_test(u: np.ndarray, v: np.ndarray,
     comes from sorting and dominance sums, O(m log m) per permutation;
     permutations are batched, so that a batch costs O(log m) numpy steps, in
     O(_BATCH_CELLS + m) memory.  For d > 1 the double-centered distance
-    matrices are computed in blocks of rows, and each permutation
-    re-indexes the second one a block of rows at a time, O(m^2) per
-    permutation after an O(m^2 d) setup, in two m x m float64 matrices plus
-    one block of about _BATCH_CELLS cells.  The p-value
+    matrices are computed in blocks of rows, and each permutation sums the
+    product over the upper triangle of blocks of rows of the re-indexed
+    second matrix, gathered into two reused buffers of _BATCH_CELLS cells,
+    O(m^2) per permutation after an O(m^2 d) setup.  The permutations hold
+    the second m x m float64 matrix and the first one's packed triangle;
+    two full matrices are held only at setup and for the observed
+    statistic.  The p-value
     (1 + #{perm >= observed}) / (n_perm + 1) is exact under independence.
     """
     if rng is None:

@@ -149,6 +149,20 @@ def oracle_dcor_matrices_test(u, v, n_perm, rng):
     return obs, (1.0 + hits) / (n_perm + 1.0)
 
 
+def oracle_block_dcor(u, v, rows):
+    """The d > 1 permutation kernel before the triangle sums: each
+    permutation summed over blocks of full rows of B re-indexed by
+    cb.take(idx[blk], 0).take(idx, 1).  Returns dCov^2 / dVar of each row."""
+    m = len(u)
+    ca, cb = balance._dist_matrix(u), balance._dist_matrix(v)
+    dvar = math.sqrt(float((ca * ca).mean()) * float((cb * cb).mean()))
+    step = max(1, balance._BATCH_CELLS // m)
+    blocks = [slice(s, s + step) for s in range(0, m, step)]
+    dcov2 = np.array([sum(np.vdot(ca[blk], cb.take(idx[blk], 0).take(idx, 1))
+                          for blk in blocks) for idx in rows]) / (float(m) * m)
+    return dcov2 / dvar
+
+
 def independence_calibration(seed, reps, m, n_perm):
     """How many of `reps` independent GIG pairs of m draws each give a
     permutation p <= 0.01; super-uniform calibration keeps it near reps/100."""
@@ -205,9 +219,43 @@ class TestDistanceCorrelation:
             assert p == want_p
 
     def test_constant_sample(self):
+        # a constant sample, of scalars or of 3-vectors, returns before any
+        # permutation is drawn
         z = np.linspace(0.1, 3.0, 40)
-        for u, v in ((np.full(40, 0.1), z), (z, np.full(40, 0.7))):
-            assert balance.distance_correlation_test(u, v, n_perm=9) == (0.0, 1.0)
+        z3 = rng_stream(6, 0).normal(size=(40, 3))
+        for u, v in ((np.full(40, 0.1), z), (z, np.full(40, 0.7)),
+                     (np.full((40, 3), 0.1), z3), (z3, np.full((40, 3), 0.7))):
+            rng = rng_stream(6, 1)
+            assert balance.distance_correlation_test(u, v, n_perm=9, rng=rng) == (0.0, 1.0)
+            assert rng.random() == rng_stream(6, 1).random()
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    @pytest.mark.parametrize("m", [2, 3, 64, 65, 66, 130, 131, 1000])
+    def test_triangle_kernel_matches_block_oracle(self, m, d, monkeypatch):
+        # 65-row blocks at every m: below one block, exact block edges and a
+        # ragged last block of one row (m = 66, 131) or 25 rows (m = 1000)
+        monkeypatch.setattr(balance, "_BATCH_CELLS", 65 * m)
+        rng = rng_stream(d, 400 + m)
+        u = rng.normal(size=(m, d))
+        v = np.column_stack([u[:, :1] ** 2, rng.normal(size=(m, d - 1))])
+        rows = np.array([rng.permutation(m) for _ in range(5)])
+        got = balance._dcor_matrices(u, v)(rows) ** 2
+        np.testing.assert_allclose(got, oracle_block_dcor(u, v, rows), rtol=1e-12, atol=0.0)
+
+    def test_permutation_batch_allocates_no_matrix(self):
+        # the gathers go into buffers allocated at setup; the full-row
+        # kernel allocated two 520 KB temporaries for every block
+        rng = rng_stream(7, 0)
+        u, v = rng.normal(size=(1000, 3)), rng.normal(size=(1000, 3))
+        dcor_of = balance._dcor_matrices(u, v)
+        rows = np.array([rng.permutation(1000) for _ in range(65)])
+        tracemalloc.start()
+        try:
+            dcor_of(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256_000
 
     @pytest.mark.parametrize("m", [2, 3, 64, 500, 1000])
     def test_vectors_match_ix_oracle(self, m):
