@@ -5,10 +5,10 @@ For the scalar map with independent inputs
     X ~ GIG(-lam, alpha c1, c2),   Y ~ GIG(-lam, beta c2, c1)
 
 the image (U, V) = f_dk(X, Y) is again an independent pair with the same
-laws under c1 <-> c2; the conjugated variant uses A ~ GIG(-lam, alpha c1,
-c2), B ~ GIG(lam, c1, beta c2) and psi.  The matrix variant replaces GIG
-by MGIG with rate matrices (alpha a, b) and (beta b, a).  Verification is
-two-pronged:
+laws under c1 <-> c2; the conjugated variant, psi, is this under (x, y) ->
+(x, 1/y).  The matrix variant replaces GIG by MGIG with rate matrices
+(alpha a, b) and (beta b, a).  Each variant is declared once, and
+`monte_carlo_balance` gives every verdict, two-pronged:
 
 * deterministic -- the log-density transport identity
   log f_X + log f_Y = log f_U + log f_V pointwise (a consequence of the
@@ -16,8 +16,8 @@ two-pronged:
   the Monte-Carlo error of the MGIG normalizers for the matrix ones;
 
 * statistical -- Kolmogorov-Smirnov tests of the mapped marginals against
-  the claimed laws plus a permutation-calibrated distance-correlation
-  test of independence between the mapped coordinates.
+  the claimed laws (scalar: the CDF; matrix: log det and trace of reference
+  draws) plus a permutation-calibrated distance-correlation independence test.
 
 `machinery_check` exercises the joint-transform identities that pin these
 laws down uniquely: the product identity x_{-s} y_s = u_{-s} v_s of the
@@ -28,6 +28,7 @@ cancel).
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class BalanceSpec:
     b: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.variant not in ("fdk", "psi", "matrix"):
+        if self.variant not in _VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}")
         if self.variant == "matrix":
             if self.a is None or self.b is None:
@@ -105,27 +106,42 @@ class BalanceSpec:
         return 1 if self.variant != "matrix" else self.a.shape[0]
 
 
+class _Variant(NamedTuple):
+    rates: tuple        # spec fields of the two rates; the output laws swap them
+    laws: tuple         # builds each input's law from (lam, its two rates)
+    cell_map: Callable  # calls the map through its module binding, which a tracer may replace
+    ks_names: tuple     # the two mapped marginals, as the KS tests name them
+
+
+def _gig(lam, a, b):
+    return dist.GigParams(-lam, a, b)
+
+
+# psi is fdk under (x, y) -> (x, 1/y): its second input is the reciprocal of fdk's
+_VARIANTS = {
+    "fdk": _Variant(("c1", "c2"), (_gig, _gig), lambda *args: f_dk(*args), ("U", "V")),
+    "psi": _Variant(("c1", "c2"), (_gig, lambda *rates: dist.reciprocal_law(_gig(*rates))),
+                    lambda *args: psi(*args), ("S", "T")),
+    "matrix": _Variant(("a", "b"), (matrix.MgigParams, matrix.MgigParams),
+                       lambda *args: matrix.f_dk_matrix(*args), ("U", "V")),
+}
+
+
 def input_laws(spec: BalanceSpec):
     """(law of the first input, law of the second input)."""
-    al, be = spec.map.alpha, spec.map.beta
-    if spec.variant == "fdk":
-        return (dist.GigParams(-spec.lam, al * spec.c1, spec.c2),
-                dist.GigParams(-spec.lam, be * spec.c2, spec.c1))
-    if spec.variant == "psi":
-        return (dist.GigParams(-spec.lam, al * spec.c1, spec.c2),
-                dist.GigParams(spec.lam, spec.c1, be * spec.c2))
-    return (matrix.MgigParams(spec.lam, al * spec.a, spec.b),
-            matrix.MgigParams(spec.lam, be * spec.b, spec.a))
+    var = _VARIANTS[spec.variant]
+    first, second = (getattr(spec, name) for name in var.rates)
+    law_x, law_y = var.laws
+    return (law_x(spec.lam, spec.map.alpha * first, second),
+            law_y(spec.lam, spec.map.beta * second, first))
 
 
 def output_laws(spec: BalanceSpec):
     """Claimed laws of the mapped pair: the input laws under the structural
     swap c1 <-> c2 (a <-> b for the matrix variant)."""
-    if spec.variant == "matrix":
-        swapped = replace(spec, a=spec.b, b=spec.a)
-    else:
-        swapped = replace(spec, c1=spec.c2, c2=spec.c1)
-    return input_laws(swapped)
+    first, second = _VARIANTS[spec.variant].rates
+    return input_laws(replace(spec, **{first: getattr(spec, second),
+                                       second: getattr(spec, first)}))
 
 
 # ---------------------------------------------------------------------------
@@ -546,85 +562,66 @@ _N_PERM = 499
 
 
 def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
-                        y_override: "dist.GigParams | None" = None,
+                        y_override: "dist.GigParams | matrix.MgigParams | None" = None,
                         mcmc: "matrix.McmcConfig | None" = None) -> BalanceReport:
     """Sample, map, test: KS per mapped marginal, distance correlation for
     the mapped pair, plus the deterministic transport residual.
 
-    `y_override` replaces the law of the second input (negative controls).
+    A scalar marginal is tested against its CDF; a matrix one by log det
+    and trace against draws of its law, thinned to their effective size
+    where a chain fed them.  `y_override` replaces the law of the second
+    input in every variant (negative controls) and must be of the variant's
+    family; `mcmc` configures the matrix chains and is rejected otherwise.
     """
     if n < 1000:
         raise DomainError("need n >= 1000")
-    if spec.variant == "matrix":
-        return _matrix_balance(spec, seed, n, mcmc)
-
+    var = _VARIANTS[spec.variant]
     law_x, law_y = input_laws(spec)
     if y_override is not None:
+        if type(y_override) is not type(law_y):
+            raise DomainError(f"y_override must be a {type(law_y).__name__} for {spec.variant}")
         law_y = y_override
     law_u, law_v = output_laws(spec)
-    xs = dist.draw(law_x, rng_stream(seed, 1), n)
-    ys = dist.draw(law_y, rng_stream(seed, 2), n)
-    the_map = f_dk if spec.variant == "fdk" else psi
-    us, vs = the_map(spec.map, (xs, ys))
+    ks, mcmc_report = {}, None
+    if spec.variant != "matrix":
+        if mcmc is not None:
+            raise DomainError(f"mcmc applies to the matrix variant, not to {spec.variant}")
+        xs = dist.draw(law_x, rng_stream(seed, 1), n)
+        ys = dist.draw(law_y, rng_stream(seed, 2), n)
+        pair = var.cell_map(spec.map, (xs, ys))
+        for name, data, law in zip(var.ks_names, pair, (law_u, law_v)):
+            ks[name] = KsStat(*ks_1samp(data, lambda q: dist.cdf(law, q)), n)
+        stride, resid, tol = 1, transport_grid_max(spec), 1e-9
+    else:
+        runs = {key: matrix.mgig_sample(law, (seed + 17 * i + 1) % 2**64, n, mcmc=mcmc)
+                for i, (key, law) in enumerate((("X", law_x), ("Y", law_y),
+                                                ("U_ref", law_u), ("V_ref", law_v)))}
+        mapped = var.cell_map(spec.map, (runs["X"].draws, runs["Y"].draws))
 
-    names = ("U", "V") if spec.variant == "fdk" else ("S", "T")
-    ks = {}
-    for name, data, law in ((names[0], us, law_u), (names[1], vs, law_v)):
-        ks[name] = KsStat(*ks_1samp(data, lambda q: dist.cdf(law, q)), n)
+        # residual MCMC autocorrelation makes nominal KS p-values
+        # anti-conservative, so a series that a chain fed is subsampled to
+        # its effective size; a series of exact draws is i.i.d. and kept whole
+        def step_of(series, *keys):
+            if not any(runs[k].sampler == "mcmc" for k in keys):
+                return 1
+            ess = matrix._ess(series[None, :])
+            return max(1, int(math.ceil(len(series) / max(ess, 1.0))))
 
-    return _verdict(spec, seed, n, ks, (us, vs), 1, transport_grid_max(spec), 1e-9)
+        stride = 1
+        for name, draws, ref in zip(var.ks_names, mapped, ("U_ref", "V_ref")):
+            for fname, functional in (("logdet", matrix._logdet_spd),
+                                      ("trace", lambda x: np.trace(x, axis1=-2, axis2=-1))):
+                sm, sr = functional(draws), functional(runs[ref].draws)
+                step = step_of(sm, "X", "Y")
+                stride = max(stride, step)
+                sm, sr = sm[::step], sr[::step_of(sr, ref)]
+                ks[f"{name}_{fname}"] = KsStat(*ks_2samp(sm, sr), len(sm))
+        pair = [matrix.sym_to_vec(draws) for draws in mapped]
+        norm = matrix_normalizers(spec, seed, n=400_000)
+        resid = transport_grid_max(spec, grid_n=5, normalizers=norm, seed=seed)
+        tol = max(3.0 * norm.se, 1e-9)
+        mcmc_report = {k: run.diagnostics_dict() for k, run in runs.items()}
 
-
-def _ess_stride(series: np.ndarray) -> int:
-    # subsampling stride that leaves roughly independent values
-    ess = matrix._ess(np.asarray(series)[None, :])
-    return max(1, int(math.ceil(len(series) / max(ess, 1.0))))
-
-
-def _matrix_balance(spec, seed, n, mcmc):
-    law_x, law_y = input_laws(spec)
-    law_u, law_v = output_laws(spec)
-    runs = {}
-    for i, (key, law) in enumerate((("X", law_x), ("Y", law_y),
-                                    ("U_ref", law_u), ("V_ref", law_v))):
-        runs[key] = matrix.mgig_sample(law, (seed + 17 * i + 1) % 2**64, n, mcmc=mcmc)
-    us, vs = matrix.f_dk_matrix(spec.map, (runs["X"].draws, runs["Y"].draws))
-
-    def functionals(draws):
-        return {"logdet": matrix._logdet_spd(draws),
-                "trace": np.trace(draws, axis1=-2, axis2=-1)}
-
-    # residual MCMC autocorrelation makes nominal KS p-values
-    # anti-conservative, so a series that a chain fed is subsampled to its
-    # effective size; a series of exact draws is i.i.d. and kept whole
-    def stride(series, *keys):
-        chained = any(runs[k].sampler == "mcmc" for k in keys)
-        return _ess_stride(series) if chained else 1
-
-    ks = {}
-    max_stride = 1
-    for key, mapped, ref in (("U", us, "U_ref"), ("V", vs, "V_ref")):
-        fm, fr = functionals(mapped), functionals(runs[ref].draws)
-        for fname in fm:
-            step = stride(fm[fname], "X", "Y")
-            sm = fm[fname][::step]
-            sr = fr[fname][::stride(fr[fname], ref)]
-            max_stride = max(max_stride, step)
-            ks[f"{key}_{fname}"] = KsStat(*ks_2samp(sm, sr), len(sm))
-
-    norm = matrix_normalizers(spec, seed, n=400_000)
-    resid = transport_grid_max(spec, grid_n=5, normalizers=norm, seed=seed)
-    return _verdict(spec, seed, n, ks,
-                    (matrix.sym_to_vec(us), matrix.sym_to_vec(vs)), max_stride,
-                    resid, max(3.0 * norm.se, 1e-9), runs)
-
-
-def _verdict(spec, seed, n, ks, pair, stride, resid, tol, runs=None):
-    """The BalanceReport of one verdict: `ks` holds its KS tests, `pair` the
-    mapped samples, `resid` the transport residual, gated at `tol`, and
-    `runs` the MGIG sampler runs of the matrix variant.  The independence
-    test takes a seeded subsample of _DCOR_M rows among every `stride`-th
-    row of `pair`."""
     pool = np.arange(0, len(pair[0]), stride)
     sub = rng_stream(seed, 3).choice(pool, size=min(_DCOR_M, len(pool)),
                                      replace=False)
@@ -634,14 +631,12 @@ def _verdict(spec, seed, n, ks, pair, stride, resid, tol, runs=None):
     flags = {f"ks_{k}": ks[k].p_value > _P_THRESHOLD for k in ks}
     flags["independence"] = ind.p_value > _P_THRESHOLD
     flags["transport"] = resid <= tol
-    mcmc = None
-    if runs is not None:
-        flags["mcmc_ok"] = all(run.ok for run in runs.values())
-        mcmc = {k: run.diagnostics_dict() for k, run in runs.items()}
+    if mcmc_report is not None:
+        flags["mcmc_ok"] = all(run["ok"] for run in mcmc_report.values())
     return BalanceReport(
         variant=spec.variant, params=spec_params(spec), seed=seed, n=n,
         max_log_residual=resid, residual_tol=tol, ks_stats=ks,
-        independence=ind, pass_flags=flags, mcmc=mcmc,
+        independence=ind, pass_flags=flags, mcmc=mcmc_report,
         passed=all(flags.values()))
 
 
@@ -740,7 +735,7 @@ def machinery_check(spec: BalanceSpec, s: float, sigma: float, theta: float,
     # v_s(sg, th) = L_T(s, th, beta*sg), T ~ GIG(lam, c2, beta c1)
     pt1 = (sigma, theta)
     pt2 = (2.0 * sigma, 0.5 * theta - 1.0)
-    law_t = dist.GigParams(spec.lam, spec.c2, be * spec.c1)
+    _, law_t = output_laws(spec)
     r_s = spec.lam + s
     try:
         y_ratio = math.exp(dist.ext_laplace_log(law_b, s, pt1[0], be * pt1[1])

@@ -392,6 +392,7 @@ _B = Param("b", _entries, None, "row-major entries of b; default the identity")
 _LATTICE = (_N, Param("t", _size, 20), _ALPHA, _BETA, _LAMBDA,
             Param("c", _positive, 1.0), Param("c2", _positive, None, "default c"), _SEED)
 _REPLAY = (("--replay", {"help": "boundary file to replay"}),)
+_CHAINS = "used at r >= 4 and where exact draws fall back to MCMC (ill-conditioned a b)"
 
 # (module, action, help, handler, parameter table, flag-only arguments)
 _COMMANDS = (
@@ -416,8 +417,10 @@ _COMMANDS = (
     ("matrix", "sample", "MGIG draws (exact at r <= 3, else MCMC), one row-major matrix per line",
      _cmd_matrix_sample,
      (_R, Param("p", float, 1.5), _A, _B, _N,
-      Param("burn_in", int, matrix.McmcConfig.burn_in),
-      Param("thin", int, matrix.McmcConfig.thin), _SEED), ()),
+      Param("burn_in", int, matrix.McmcConfig.burn_in,
+            f"MCMC burn-in steps per chain, default {matrix.McmcConfig.burn_in}; {_CHAINS}"),
+      Param("thin", int, matrix.McmcConfig.thin,
+            f"MCMC steps per kept draw, default {matrix.McmcConfig.thin}; {_CHAINS}"), _SEED), ()),
     ("balance", "verify", "Monte-Carlo detailed-balance report (JSON)",
      _cmd_balance_verify,
      (Param("variant", str, "fdk", "fdk, psi or matrix"), _ALPHA, _BETA, _C1, _C2,

@@ -69,6 +69,35 @@ class TestLawAssignment:
         assert np.allclose(law_u.a, spec.map.alpha * spec.b)
         assert np.allclose(law_u.b, spec.a)
 
+    # each variant with the spec fields that its output laws swap
+    @pytest.mark.parametrize("variant,first,second", [
+        ("fdk", "c1", "c2"), ("psi", "c1", "c2"), ("matrix", "a", "b")])
+    def test_output_laws_swap_the_declared_rates(self, variant, first, second):
+        spec = (matrix_spec() if variant == "matrix" else replace(
+            fdk_spec(lam=-0.7, c1=0.6, c2=2.5, alpha=1.5, beta=0.8), variant=variant))
+        swapped = replace(spec, **{first: getattr(spec, second),
+                                   second: getattr(spec, first)})
+        for got, want in zip(balance.output_laws(spec), balance.input_laws(swapped)):
+            assert type(got) is type(want)
+            for name in vars(want):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("lam,c1,c2,alpha,beta", [
+        (0.5, 1.0, 3.0, 1.0, 2.0), (-1.3, 0.3, 7.0, 2.5, 0.1), (0.8, 1.0, 2.0, 1.0, 0.0),
+        (0.0, 2.0, 0.5, 0.7, 3.0)])
+    def test_psi_laws_are_fdk_laws_conjugated(self, lam, c1, c2, alpha, beta):
+        # psi is fdk under (x, y) -> (x, 1/y): the same first law, and the
+        # law of 1/Y as the second, equal to the last bit
+        fdk = fdk_spec(lam=lam, c1=c1, c2=c2, alpha=alpha, beta=beta)
+        psi = replace(fdk, variant="psi")
+        for laws_of in (balance.input_laws, balance.output_laws):
+            first, second = laws_of(fdk)
+            assert laws_of(psi) == (first, dist.reciprocal_law(second))
+
+    def test_unknown_variant_message(self):
+        with pytest.raises(DomainError, match=r"^unknown variant 'fkd'$"):
+            replace(fdk_spec(), variant="fkd")
+
 
 class TestTransport:
     def test_spec_point(self):
@@ -494,6 +523,46 @@ class TestMonteCarloBalance:
             mcmc=matrix.McmcConfig(thin=15))
         assert rep.passed, rep.pass_flags
         assert rep.mcmc is not None and rep.pass_flags["mcmc_ok"]
+
+    def test_matrix_wrong_y_control_fails(self):
+        # the second input drawn at order lam + 1: the mapped first marginal
+        # no longer has its claimed law
+        spec = balance.BalanceSpec(P12, lam=1.1, variant="matrix", a=np.eye(2), b=np.eye(2))
+        bad = matrix.MgigParams(spec.lam + 1.0, spec.map.beta * spec.b, spec.a)
+        rep = balance.monte_carlo_balance(spec, seed=1, n=4000, y_override=bad)
+        assert rep.ks_stats["U_logdet"].p_value < 1e-10
+        assert not rep.passed
+
+    def test_y_override_of_the_wrong_family_is_rejected(self):
+        scalar, mat = fdk_spec(), matrix_spec()
+        with pytest.raises(DomainError, match="y_override must be a GigParams"):
+            balance.monte_carlo_balance(scalar, 1, 1000, y_override=balance.input_laws(mat)[1])
+        with pytest.raises(DomainError, match="y_override must be a MgigParams"):
+            balance.monte_carlo_balance(mat, 1, 1000, y_override=balance.input_laws(scalar)[1])
+
+    @pytest.mark.parametrize("variant", ["fdk", "psi"])
+    def test_mcmc_is_rejected_for_scalar_variants(self, variant):
+        spec = replace(fdk_spec(), variant=variant)
+        with pytest.raises(DomainError, match="mcmc applies to the matrix variant"):
+            balance.monte_carlo_balance(spec, 1, 1000, mcmc=matrix.McmcConfig())
+
+    @pytest.mark.parametrize("variant,module,name", [
+        ("fdk", balance, "f_dk"), ("psi", balance, "psi"), ("matrix", matrix, "f_dk_matrix")])
+    def test_verdict_maps_through_the_module_binding(self, variant, module, name, monkeypatch):
+        # a tracer replaces these bindings to count map calls; a verdict that
+        # held its own reference to the map would bypass the replacement
+        sizes = []
+        inner = getattr(module, name)
+
+        def counting(params, xy):
+            sizes.append(len(xy[0]))
+            return inner(params, xy)
+
+        monkeypatch.setattr(module, name, counting)
+        spec = (matrix_spec() if variant == "matrix"
+                else replace(fdk_spec(), variant=variant))
+        balance.monte_carlo_balance(spec, seed=3, n=1000)
+        assert 1000 in sizes
 
 
 class TestMachinery:
