@@ -11,16 +11,15 @@ has density proportional to
 
     det(x)^(p - (r+1)/2) exp(-(tr(a x) + tr(b x^-1)) / 2)
 
-on the SPD cone.  Its normalizer has no closed form for r >= 2 and is
-estimated by importance sampling against a mode-matched Wishart proposal,
-drawn in vectorized blocks by the Bartlett decomposition (exact Bessel
-form at r = 1).  Each weight comes from the Bartlett factor itself: log
-det x, tr(a x) and tr(b x^-1) need no x, Cholesky or inverse per draw.
-Draws at r <= 3 are exact: Bartlett draws from a Wishart envelope of x or
-of x^-1, accepted with probability h / sup h, where sup h has a closed
-form.  At r >= 4, and where the envelope accepts under 1 %
-(a b ill conditioned), sampling is Metropolis-Hastings on the Cholesky
-factor with burn-in-only scale adaptation.
+on the SPD cone.  Draws at r <= 3 are exact: Bartlett draws from a
+Wishart envelope of x or of x^-1, accepted with probability h / sup h,
+where sup h has a closed form.  At r >= 4, and where the envelope accepts
+under 1 % (a b ill conditioned), sampling is Metropolis-Hastings on the
+Cholesky factor with burn-in-only scale adaptation.  The normalizer has no
+closed form for r >= 2 (exact Bessel form at r = 1); it is the envelope's
+mass times the mean of h / sup h over its proposals, drawn in vectorized
+blocks.  Each h comes from the Bartlett factor itself: log det x and
+tr(b x^-1) need no x, Cholesky or inverse per draw.
 
 Symmetric matrices are flattened isometrically (off-diagonal entries
 weighted by sqrt(2)) so that finite-difference Jacobian determinants agree
@@ -29,6 +28,7 @@ with the intrinsic matrix calculus.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,17 +280,6 @@ def mgig_mode(params: MgigParams) -> np.ndarray:
     return check_spd(x, "mode")
 
 
-def _wishart_proposal(params: MgigParams):
-    # scale 2 a^-1 halves the linear rate (importance weights then keep an
-    # exp(-tr(a x)/4) envelope); degrees of freedom match the target mode
-    # in trace
-    v = 2.0 * np.linalg.inv(params.a)
-    mode = mgig_mode(params)
-    df = params.r + 1.0 + np.trace(mode) / (2.0 * np.trace(np.linalg.inv(params.a)))
-    df = max(df, params.r + 1.5)
-    return df, check_spd(v, "proposal scale")
-
-
 def _bartlett_variates(df: float, r: int, n: int, rng: np.random.Generator):
     # the random part of n Bartlett draws x = C A A^T C^T, C = chol(v), with
     # A from `_bartlett_factors`: the normals below the diagonal,
@@ -324,59 +313,39 @@ def _lower_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return y
 
 
-def _factor_terms(factor: np.ndarray, diag: np.ndarray, whiten: np.ndarray):
-    # (log det A A^T, |A^-1 whiten|_F^2) of each Bartlett factor A, whose
-    # diagonal is `diag`: for y = C A A^T C^T, log det y adds log det C C^T
-    # to the first, and tr(B y^-1) is the second when whiten = C^-1 chol(B)
-    return (2.0 * np.sum(np.log(diag), axis=0),
-            np.sum(_lower_solve(factor, whiten) ** 2, axis=(1, 2)))
-
-
-def _is_log_weights(params: MgigParams, df: float, v: np.ndarray,
-                    normals: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    # log MGIG kernel over Wishart(df, v) density at the Bartlett draws
-    # x = C A A^T C^T, C = chol(v), with v = 2 a^-1 (`_wishart_proposal`).
-    # Then tr(v^-1 x) = |A|_F^2 and tr(a x) = 2 |A|_F^2, so the weights come
-    # from the factor A alone, without forming x
-    r = params.r
-    chol_v = np.linalg.cholesky(v)
-    ld_v = 2.0 * float(np.sum(np.log(np.diagonal(chol_v))))
-    whiten = np.linalg.solve(chol_v, np.linalg.cholesky(params.b))
-    # log of the Wishart normalizer, by which its kernel is divided
-    log_norm_w = 0.5 * df * (r * math.log(2.0) + ld_v) + _log_gamma_r(0.5 * df, r)
-    ld_a, tr_bxi = _factor_terms(_bartlett_factors(normals, diag), diag, whiten)
-    frob = np.sum(normals ** 2, axis=1) + np.sum(diag ** 2, axis=0)
-    return (params.p - 0.5 * df) * (ld_v + ld_a) - 0.5 * (frob + tr_bxi) + log_norm_w
-
-
 def mgig_log_norm(params: MgigParams, seed: int = 0, n: int = 200_000):
     """(log normalizer, standard error of the log).
 
-    r = 1 is the exact scalar Bessel form (se = 0).  For r >= 2 the
-    normalizer is estimated by importance sampling from the mode-matched
-    Wishart proposal x = C A A^T C^T, each weight computed from the Bartlett
-    factor A without forming x; the returned se is the delta-method error
-    of the log and should gate any tolerance that consumes this value.
+    r = 1 is the exact scalar Bessel form (se = 0).  For r >= 2, log Z is
+    the log mass of the exact sampler's Wishart envelope plus the log mean
+    of h / sup h, a weight in [0, 1], over n of its proposals; the returned
+    se is the delta-method error of the log and should gate any tolerance
+    that consumes this value.  Raises DomainError when the weights'
+    effective size (sum w)^2 / sum w^2 is below 1,000: one weight then
+    dominates, and the se is about 1 nat whatever the real error.
     """
     if params.r == 1:
         a, b = float(params.a[0, 0]), float(params.b[0, 0])
         ln = (math.log(2.0) + 0.5 * params.p * (math.log(b) - math.log(a))
               + specfun.bessel_k_log(params.p, math.sqrt(a * b)))
         return ln, 0.0
-    df, v = _wishart_proposal(params)
-    normals, diag = _bartlett_variates(df, params.r, n, rng_stream(seed, 90_001))
-    # the draws are weighed _BLOCK at a time, so only the variates and the
-    # log weights are held for all n
+    env = _envelope_setup(params)
+    rng = rng_stream(seed, 90_001)
+    # the proposals are drawn and weighed _BLOCK at a time, so only the log
+    # weights are held for all n
     lw = np.empty(n)
     for s in range(0, n, _BLOCK):
-        block = slice(s, s + _BLOCK)
-        lw[block] = _is_log_weights(params, df, v, normals[block], diag[:, block])
+        block = lw[s:s + _BLOCK]
+        block[:] = _weigh(env, *_bartlett_variates(env.nu, params.r, len(block), rng))[2]
     m = np.max(lw)
     w = np.exp(lw - m)
     mean_w = float(np.mean(w))
-    log_norm = m + math.log(mean_w)
+    ess = mean_w * mean_w * n / float(np.mean(w * w))
+    if not ess >= 1000.0:
+        raise DomainError(f"the MGIG normalizer's importance weights have effective size "
+                          f"{ess:.3g} of {n} draws, below 1000")
     se = float(np.std(w) / (mean_w * math.sqrt(n)))
-    return log_norm, se
+    return env.log_mass + m + math.log(mean_w), se
 
 
 # ---------------------------------------------------------------------------
@@ -498,50 +467,72 @@ def _envelope(p: float, a: np.ndarray, b: np.ndarray):
     return terms(0.5 * (s0 + s1))
 
 
-def _mgig_rejection(params: MgigParams, seed: int, n: int) -> MgigSample | None:
-    # exact draws by rejection from the better of two Wishart envelopes:
-    # of x ~ MGIG(p, a, b), or of x^-1 ~ MGIG(-p, b, a) (the normalizer is
-    # the same for both, so their masses compare the acceptance rates).
-    # None when the first block accepts fewer than _EXACT_MIN_ACCEPT
+class _EnvelopeSetup(NamedTuple):
+    # the better of the two Wishart envelopes of an MGIG law (`_envelope`):
+    # of x ~ MGIG(p, a, b), or of x^-1 ~ MGIG(-p, b, a), whose normalizer is
+    # the same, so their masses compare the acceptance rates.  Its proposals
+    # are y = C A A^T C^T with C = chol(a^-1) of that side, weighed from A
+    log_mass: float
+    nu: float
+    k: float
+    log_sup: float
+    mirrored: bool
+    chol_v: np.ndarray
+    ld_v: float          # log det C C^T
+    c_inv: np.ndarray
+    whiten: np.ndarray   # C^-1 chol(b), so that tr(b y^-1) = |A^-1 whiten|_F^2
+
+
+def _envelope_setup(params: MgigParams) -> _EnvelopeSetup:
     sides = [(params.p, params.a, params.b), (-params.p, params.b, params.a)]
     envelopes = [_envelope(*side) for side in sides]
     mirrored = bool(envelopes[1][0] < envelopes[0][0])
-    (p, a, b), (_, nu, k, log_sup) = sides[mirrored], envelopes[mirrored]
+    _, a, b = sides[mirrored]
+    chol_v = np.linalg.cholesky(np.linalg.inv(a))
+    c_inv = np.linalg.inv(chol_v)
+    return _EnvelopeSetup(*envelopes[mirrored], mirrored, chol_v, -_logdet_spd(a),
+                          c_inv, c_inv @ np.linalg.cholesky(b))
+
+
+def _weigh(env: _EnvelopeSetup, normals: np.ndarray, diag: np.ndarray):
+    # (A, log det y, log h - log sup h) of the proposals y = C A A^T C^T of
+    # env whose Bartlett factors A hold `normals` and `diag`.  chi-square
+    # variates of small df underflow to 0, so a proposal may be singular;
+    # its log h is then -inf
+    factor = _bartlett_factors(normals, diag)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ld_y = 2.0 * np.sum(np.log(diag), axis=0) + env.ld_v
+        tr_byi = np.sum(_lower_solve(factor, env.whiten) ** 2, axis=(1, 2))
+        log_h = -env.k * ld_y - 0.5 * tr_byi
+    log_h[~np.isfinite(log_h)] = -np.inf
+    return factor, ld_y, log_h - env.log_sup
+
+
+def _mgig_rejection(params: MgigParams, seed: int, n: int) -> MgigSample | None:
+    # exact draws by rejection from the envelope of `_envelope_setup`; None
+    # when the first block accepts fewer than _EXACT_MIN_ACCEPT
+    env = _envelope_setup(params)
     r = params.r
     out = np.empty((n, r, r))
     ld = np.empty(n)
-    # the proposal is y = C A A^T C^T with C = chol(a^-1), weighed from A
-    # by `_factor_terms`
-    chol_v = np.linalg.cholesky(np.linalg.inv(a))
-    ld_v = -_logdet_spd(a)
-    c_inv = np.linalg.inv(chol_v)
-    whiten = c_inv @ np.linalg.cholesky(b)
     rng = rng_stream(seed, 77_002)
     filled = accepted = proposed = 0
     worst = -math.inf  # the largest log h - log sup h met, <= 0 in exact arithmetic
     while filled < n:
-        normals, diag = _bartlett_variates(nu, r, _BLOCK, rng)
-        factor = _bartlett_factors(normals, diag)
-        # chi-square variates of small df underflow to 0, so a proposal may
-        # be singular; its log h is not finite and it is rejected
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ld_a, tr_byi = _factor_terms(factor, diag, whiten)
-            ld_y = ld_a + ld_v
-            log_h = -k * ld_y - 0.5 * tr_byi
-        log_h[~np.isfinite(log_h)] = -np.inf
-        worst = max(worst, float(np.max(log_h)) - log_sup)
-        keep = np.flatnonzero(np.log(rng.random(_BLOCK)) < log_h - log_sup)
+        factor, ld_y, log_w = _weigh(env, *_bartlett_variates(env.nu, r, _BLOCK, rng))
+        worst = max(worst, float(np.max(log_w)))
+        keep = np.flatnonzero(np.log(rng.random(_BLOCK)) < log_w)
         accepted += len(keep)
         proposed += _BLOCK
         if proposed == _BLOCK and len(keep) < _EXACT_MIN_ACCEPT * _BLOCK:
             return None
         keep = keep[:n - filled]
         part = slice(filled, filled + len(keep))
-        if mirrored:  # x = y^-1 = w w^T with w^T = A^-1 C^-1
-            w = np.swapaxes(_lower_solve(factor[keep], c_inv), -1, -2)
+        if env.mirrored:  # x = y^-1 = w w^T with w^T = A^-1 C^-1
+            w = np.swapaxes(_lower_solve(factor[keep], env.c_inv), -1, -2)
             ld[part] = -ld_y[keep]
         else:  # x = y = w w^T with w = C A
-            w = chol_v @ factor[keep]
+            w = env.chol_v @ factor[keep]
             ld[part] = ld_y[keep]
         out[part] = w @ np.swapaxes(w, -1, -2)
         filled += len(keep)

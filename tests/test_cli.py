@@ -244,6 +244,23 @@ class TestBalanceVerify:
                     "--n", "1000", "--seed", str(seed), "--out", str(out)]) in (0, 1)
         assert json.loads(out.read_text())["seed"] == seed
 
+    def test_matrix_transport_tol_at_negative_lambda(self, tmp_path):
+        # the transport tolerance is 3 se of the four normalizers, so it is
+        # only as tight as their estimates at lambda = -2
+        out = tmp_path / "rep.json"
+        assert run("balance verify --variant matrix --r 3 --lambda -2 "
+                   "--a 2,0,0,0,1,0,0,0,0.5 --n 1000 --seed 7 --out".split()
+                   + [str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["residual_tol"] < 0.05
+
+    def test_matrix_dominated_weights_exit_2(self, capsys):
+        # one importance weight dominates each normalizer of a = diag(1e6,
+        # 1e-6), so their se means nothing: the verdict is refused, not FAIL
+        assert run("balance verify --variant matrix --r 2 --a 1e6,0,0,1e-6 "
+                   "--n 1000 --seed 7".split()) == 2
+        err = capsys.readouterr().err
+        assert "effective size" in err and err.count("\n") == 1
+
     def test_batch_run(self, tmp_path):
         batch = tmp_path / "batch.txt"
         batch.write_text(

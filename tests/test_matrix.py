@@ -206,16 +206,18 @@ class TestNormalizer:
                 assert got_rng.random() == want_rng.random()
 
     def test_importance_sampling_matches_exact_r1(self):
-        # run the shipped importance weights on an r = 1 law, where the
+        # run the shipped estimator, the envelope's mass times the mean of
+        # h / sup h over its proposals, on an r = 1 law, where the
         # normalizer has the exact Bessel form
         law = matrix.MgigParams(0.8, np.array([[2.0]]), np.array([[1.3]]))
         exact, _ = matrix.mgig_log_norm(law)
-        df, v = matrix._wishart_proposal(law)
-        variates = matrix._bartlett_variates(df, 1, 200_000, rng_stream(17, 90_001))
-        lw = matrix._is_log_weights(law, df, v, *variates)
+        env = matrix._envelope_setup(law)
+        variates = matrix._bartlett_variates(env.nu, 1, 200_000, rng_stream(17, 90_001))
+        lw = matrix._weigh(env, *variates)[2]
+        assert np.all(lw <= 1e-12)
         m = lw.max()
         w = np.exp(lw - m)
-        est = m + math.log(w.mean())
+        est = env.log_mass + m + math.log(w.mean())
         se = w.std() / (w.mean() * math.sqrt(len(w)))
         assert abs(est - exact) <= 3.0 * se
 
@@ -236,44 +238,78 @@ class TestNormalizer:
         ln2, se2 = matrix.mgig_log_norm(law, seed=2, n=80_000)
         assert abs(ln1 - ln2) <= 3.0 * math.hypot(se1, se2)
 
-    # pinned at aeafd57, when the importance weights were computed from x
-    X_BASED_PINS = {2: (-0.7734063559004278, 0.0024171556772016878),
-                    3: (3.6035974382676996, 0.0035338161771855904)}
-
     @pytest.mark.parametrize("r,p,pair_seed,want", [
-        (2, 1.3, 9, (-0.7734063559004283, 0.002417155677201687)),
-        (3, 2.2, 4, (3.6035974382676996, 0.00353381617718559)),
+        (2, 1.3, 9, (-0.7752513219302124, 0.0008466662051113284)),
+        (3, 2.2, 4, (3.5953309556086177, 0.0008290930104093721)),
     ])
     def test_pinned_estimate(self, r, p, pair_seed, want):
-        # re-recorded when the weights came from the Bartlett factor; the
-        # blocks must not move a bit.  The draws are those of the x-based
-        # pins, so the two agree to rounding
-        assert np.allclose(want, self.X_BASED_PINS[r], rtol=0.0, atol=1e-14)
+        # re-recorded when the normalizer came to weigh the proposals of the
+        # exact sampler's envelope; the blocks must not move a bit
         law = matrix.MgigParams(p, *spd_pair(r, pair_seed))
         assert matrix.mgig_log_norm(law, seed=5, n=400_000) == want
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_log_weights_match_x_oracle(self, r):
-        # per-draw log weights from the Bartlett factor against the MGIG
-        # kernel over the Wishart density, both evaluated at x itself, at 6
-        # laws per r: lambda on [-3, 3], rates random_spd scaled by e^s and
-        # e^-s, s on [-2, 2].  The oracle runs in extended precision: formed
-        # in double, x of condition number 6e5 alone moves it by 2e-11 |lw|
+        # per-draw log det y and log h - log sup h from the Bartlett factor
+        # against h of y itself, at 6 laws per r: lambda on [-3, 3], rates
+        # random_spd scaled by e^s and e^-s, s on [-2, 2].  The oracle runs
+        # in extended precision: formed in double, y of condition number 6e5
+        # alone moves it by 2e-11 |lw|.  The envelope's df can lie near
+        # r - 1, so some y are near singular; in long double the oracle's
+        # own error grows like cond(y) 5e-20, so above cond 1e7 it runs in
+        # mpmath at 60 digits (40 leave 3e-12 at cond 2e16)
+        import mpmath as mp
+
         rng = rng_stream(2030, r)
         for i in range(6):
             s, lam = rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0)
             law = matrix.MgigParams(lam, matrix.random_spd(r, rng) * math.exp(s),
                                     matrix.random_spd(r, rng) * math.exp(-s))
-            df, v = matrix._wishart_proposal(law)
-            normals, diag = matrix._bartlett_variates(df, r, 2000, rng_stream(i, 90_001))
-            got = matrix._is_log_weights(law, df, v, normals, diag)
-            x = wishart_draws(np.linalg.cholesky(v).astype(np.longdouble), normals, diag)
-            ld, x_inv = extended_logdet_inv(x)
-            kernel = ((law.p - 0.5 * (r + 1)) * ld
-                      - 0.5 * (np.einsum("ij,nji->n", law.a, x)
-                               + np.einsum("ij,nji->n", law.b, x_inv)))
-            want = (kernel - wishart_log_pdf(df, v, x, ld)).astype(float)
-            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (r, i)
+            env = matrix._envelope_setup(law)
+            b = law.a if env.mirrored else law.b
+            normals, diag = matrix._bartlett_variates(env.nu, r, 2000, rng_stream(i, 90_001))
+            factor, ld_y, got = matrix._weigh(env, normals, diag)
+            # chi2 variates of small df underflow to 0, and such a y weighs 0
+            ok = np.all(diag > 0.0, axis=0)
+            assert np.count_nonzero(ok) > 1900 and np.all(got[~ok] == -np.inf)
+            y = wishart_draws(env.chol_v.astype(np.longdouble), normals, diag)
+            cond = np.full(len(y), np.inf)
+            cond[ok] = np.linalg.cond(y[ok].astype(float))
+            ld, want = np.empty(len(y)), np.empty(len(y))
+            ld_fine, y_inv = extended_logdet_inv(y[cond <= 1e7])
+            ld[cond <= 1e7] = ld_fine
+            want[cond <= 1e7] = -env.k * ld_fine - 0.5 * np.einsum("ij,nji->n", b, y_inv)
+            for j in np.flatnonzero(ok & (cond > 1e7)):
+                with mp.workdps(60):
+                    w_mp = mp.matrix(env.chol_v.tolist()) * mp.matrix(factor[j].tolist())
+                    y_mp = w_mp * w_mp.T
+                    ld_mp, y_mp_inv = mp.log(mp.det(y_mp)), mp.inverse(y_mp)
+                    ld[j] = float(ld_mp)
+                    want[j] = float(-env.k * ld_mp - sum(
+                        b[q, t] * y_mp_inv[t, q] for q in range(r) for t in range(r)) / 2)
+            for value, oracle in ((got, want - env.log_sup), (ld_y, ld)):
+                value, oracle = value[ok], oracle[ok]
+                assert np.all(np.abs(value - oracle)
+                              <= 1e-12 * np.maximum(1.0, np.abs(oracle))), (r, i)
+
+    @pytest.mark.parametrize("r,p", [(3, -2.0), (5, 2.0)])
+    def test_mirror_law_same_normalizer(self, r, p):
+        # x ~ MGIG(p, a, b) and x^-1 ~ MGIG(-p, b, a) have one normalizer.
+        # Rates spd_pair(r, 1); the law takes seed 5 and its mirror seed 6,
+        # so the two estimates are independent
+        a, b = spd_pair(r, 1)
+        ln1, se1 = matrix.mgig_log_norm(matrix.MgigParams(p, a, b), seed=5, n=400_000)
+        ln2, se2 = matrix.mgig_log_norm(matrix.MgigParams(-p, b, a), seed=6, n=400_000)
+        assert abs(ln1 - ln2) <= 4.0 * math.hypot(se1, se2)
+        assert max(se1, se2) < 0.01
+
+    @pytest.mark.parametrize("a", [(1e3, 1e-3), (1e6, 1e-6)], ids=["cond1e6", "cond1e12"])
+    def test_dominated_weights_raise(self, a):
+        # effective sizes of about 3.9 and 1 of 400,000: the delta-method se
+        # would read about 1 nat whatever the real error
+        law = matrix.MgigParams(1.0, np.diag(a), np.eye(2))
+        with pytest.raises(DomainError, match="effective size"):
+            matrix.mgig_log_norm(law, seed=5, n=400_000)
 
     def test_memory_bounded(self):
         # one (n, r, r) array per step once took a 35 MB peak at this size
@@ -527,13 +563,23 @@ def mgig_functionals(x):
                      x[:, 0, 1]])
 
 
+def wishart_proposal(law):
+    """A Wishart proposal matched to the mode of `law`, the reference of
+    `is_oracle_moments`: scale 2 a^-1 halves the linear rate (the weights
+    then keep an exp(-tr(a x)/4) envelope), and the degrees of freedom match
+    the mode in trace."""
+    v = 2.0 * np.linalg.inv(law.a)
+    df = law.r + 1.0 + np.trace(matrix.mgig_mode(law)) / (2.0 * np.trace(np.linalg.inv(law.a)))
+    return max(df, law.r + 1.5), matrix.check_spd(v, "proposal scale")
+
+
 def is_oracle_moments(law, seed, n=100_000):
     """Self-normalized IS means of `mgig_functionals` and their delta-method
-    standard errors, from the Wishart proposal that `mgig_log_norm` uses,
-    built for x or, at lambda < 0, for x^-1 ~ MGIG(-p, b, a)."""
+    standard errors, from `wishart_proposal`, built for x or, at
+    lambda < 0, for x^-1 ~ MGIG(-p, b, a)."""
     mirror = law.p < 0.0
     side = matrix.MgigParams(-law.p, law.b, law.a) if mirror else law
-    df, v = matrix._wishart_proposal(side)
+    df, v = wishart_proposal(side)
     normals, diag = matrix._bartlett_variates(df, law.r, n, rng_stream(seed, 5))
     y = wishart_draws(np.linalg.cholesky(v), normals, diag)
     ld = np.linalg.slogdet(y)[1]
