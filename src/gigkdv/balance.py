@@ -12,8 +12,9 @@ laws under c1 <-> c2; the conjugated variant, psi, is this under (x, y) ->
 
 * deterministic -- the log-density transport identity
   log f_X + log f_Y = log f_U + log f_V pointwise (a consequence of the
-  unit |Jacobian|), exact up to round-off for the scalar laws and up to
-  the Monte-Carlo error of the MGIG normalizers for the matrix ones;
+  unit |Jacobian|), on the unnormalized densities, whose normalizers
+  cancel, gated in units of their rounding (and of the MC error of the
+  MGIG normalizers' estimated imbalance);
 
 * statistical -- Kolmogorov-Smirnov tests of the mapped marginals against
   the claimed laws (scalar: the CDF; matrix: log det and trace of reference
@@ -44,7 +45,6 @@ __all__ = [
     "BalanceReport",
     "KsStat",
     "IndependenceStat",
-    "MatrixNormalizers",
     "MachineryResult",
     "input_laws",
     "output_laws",
@@ -111,19 +111,45 @@ class _Variant(NamedTuple):
     laws: tuple         # builds each input's law from (lam, its two rates)
     cell_map: Callable  # calls the map through its module binding, which a tracer may replace
     ks_names: tuple     # the two mapped marginals, as the KS tests name them
+    kernel: Callable    # (law, z) -> the terms of the law's unnormalized log density at z
+    transport: Callable  # (spec, grid_n, seed) -> (transport grid, normalizer imbalance, its se)
 
 
 def _gig(lam, a, b):
     return dist.GigParams(-lam, a, b)
 
 
-# psi is fdk under (x, y) -> (x, 1/y): its second input is the reciprocal of fdk's
+def _gig_kernel(law, z):
+    return (law.lam - 1.0) * np.log(z), -law.a * z, -law.b / z
+
+
+def _scalar_transport(spec, grid_n, seed):
+    # X and U, and Y and V, share the Bessel factor of their normalizers (or
+    # the Gamma factor of a zero-rate limit), and the power-law factors of
+    # the four cancel
+    pts = np.geomspace(0.05, 20.0, grid_n)
+    return np.meshgrid(pts, pts), 0.0, 0.0
+
+
+def _matrix_transport(spec, grid_n, seed):
+    # a refused normalizer fails before any pair is drawn
+    norm, se = matrix_normalizers(spec, seed)
+    rng = rng_stream(seed, 51_000)
+    pairs = [(matrix.random_spd(spec.r, rng), matrix.random_spd(spec.r, rng))
+             for _ in range(grid_n)]
+    return tuple(np.array(side) for side in zip(*pairs)), norm, se
+
+
+# psi is fdk under (x, y) -> (x, 1/y): its second input is the reciprocal of
+# fdk's, and its transport terms are fdk's (see transport_residual)
 _VARIANTS = {
-    "fdk": _Variant(("c1", "c2"), (_gig, _gig), lambda *args: f_dk(*args), ("U", "V")),
+    "fdk": _Variant(("c1", "c2"), (_gig, _gig), lambda *args: f_dk(*args), ("U", "V"),
+                    _gig_kernel, _scalar_transport),
     "psi": _Variant(("c1", "c2"), (_gig, lambda *rates: dist.reciprocal_law(_gig(*rates))),
-                    lambda *args: psi(*args), ("S", "T")),
+                    lambda *args: psi(*args), ("S", "T"), _gig_kernel, _scalar_transport),
     "matrix": _Variant(("a", "b"), (matrix.MgigParams, matrix.MgigParams),
-                       lambda *args: matrix.f_dk_matrix(*args), ("U", "V")),
+                       lambda *args: matrix.f_dk_matrix(*args), ("U", "V"),
+                       matrix._log_kernel_terms, _matrix_transport),
 }
 
 
@@ -148,82 +174,59 @@ def output_laws(spec: BalanceSpec):
 # deterministic transport identity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixNormalizers:
-    """Log normalizers of the four MGIG laws with their MC standard errors."""
-
-    log_x: float
-    log_y: float
-    log_u: float
-    log_v: float
-    se: float  # combined standard error of log_x + log_y - log_u - log_v
-
-
-def matrix_normalizers(spec: BalanceSpec, seed: int = 0,
-                       n: int = 200_000) -> MatrixNormalizers:
-    """Estimate the four normalizers of a matrix BalanceSpec.
-
-    At r = 1 the values are exact Bessel forms and se = 0.
-    """
-    law_x, law_y = input_laws(spec)
-    law_u, law_v = output_laws(spec)
-    vals, ses = [], []
-    for i, law in enumerate((law_x, law_y, law_u, law_v)):
-        ln, se = matrix.mgig_log_norm(law, seed=(seed + i) % 2**64, n=n)
-        vals.append(ln)
-        ses.append(se)
-    return MatrixNormalizers(*vals, se=float(np.sqrt(np.sum(np.square(ses)))))
+def matrix_normalizers(spec: BalanceSpec, seed: int = 0):
+    """(N, se): N = log Z_X + log Z_Y - log Z_U - log Z_V, 0 in exact
+    arithmetic, and its standard error, each log Z of a matrix spec's four
+    laws from 400,000 draws of `matrix.mgig_log_norm` (exact at r = 1)."""
+    laws = (*input_laws(spec), *output_laws(spec))
+    est = [matrix.mgig_log_norm(law, seed=(seed + i) % 2**64, n=400_000)
+           for i, law in enumerate(laws)]
+    return (est[0][0] + est[1][0] - est[2][0] - est[3][0],
+            math.sqrt(sum(se * se for _, se in est)))
 
 
-def transport_residual(spec: BalanceSpec, point,
-                       normalizers: MatrixNormalizers | None = None):
-    """|log f_X(x) + log f_Y(y) - log f_U(u) - log f_V(v)| at one point, or
-    at every point of arrays x and y for the scalar variants.
+def transport_residual(spec: BalanceSpec, point):
+    """(k, S) at a point (x, y), or at every point of arrays x and y: k is
+    log h_X(x) + log h_Y(y) - log h_U(u) - log h_V(v) for the unnormalized
+    densities h of the four laws and (u, v) the image of (x, y), and S the
+    sum of the absolute values of every term of k, which scales its rounding.
 
-    All densities are fully normalized.  The psi variant is evaluated
-    through its conjugation (x, y) = (a, 1/b), under which its laws map
-    exactly onto the fdk laws and the residual is identical.  For the
-    matrix variant the result carries the MC error of the normalizers
-    (supply `normalizers` to control it); gate with 3x their `se`.
+    No normalizer is evaluated.  Matrix x and y may be stacks of matrices.
+    The psi variant is evaluated through its conjugation (x, y) = (a, 1/b),
+    under which its laws map exactly onto the fdk laws.
     """
     if spec.variant == "psi":
         a, b = point
         return transport_residual(replace(spec, variant="fdk"), (a, 1.0 / b))
-    law_x, law_y = input_laws(spec)
-    law_u, law_v = output_laws(spec)
-    if spec.variant == "fdk":
-        x, y = point
-        u, v = f_dk(spec.map, (x, y))
-        return abs(dist.log_pdf(law_x, x) + dist.log_pdf(law_y, y)
-                   - dist.log_pdf(law_u, u) - dist.log_pdf(law_v, v))
+    var = _VARIANTS[spec.variant]
     x, y = point
-    u, v = matrix.f_dk_matrix(spec.map, (x, y))
-    norm = normalizers if normalizers is not None else matrix_normalizers(spec)
-    unnorm = (matrix.mgig_log_pdf_unnorm(law_x, x)
-              + matrix.mgig_log_pdf_unnorm(law_y, y)
-              - matrix.mgig_log_pdf_unnorm(law_u, u)
-              - matrix.mgig_log_pdf_unnorm(law_v, v))
-    return abs(unnorm - norm.log_x - norm.log_y + norm.log_u + norm.log_v)
+    k = scale = 0.0
+    for sign, law, z in zip((1.0, 1.0, -1.0, -1.0), (*input_laws(spec), *output_laws(spec)),
+                            (x, y, *var.cell_map(spec.map, (x, y)))):
+        for term in var.kernel(law, z):
+            k = k + sign * term
+            scale = scale + np.abs(term)
+    return k, scale
 
 
-def transport_grid_max(spec: BalanceSpec, grid_n: int = 20,
-                       normalizers: MatrixNormalizers | None = None,
-                       seed: int = 0) -> float:
-    """Max transport residual over a grid (scalar: log grid on [0.05, 20]^2,
-    where both variants share the fdk laws; matrix: seeded random SPD
-    pairs)."""
-    if spec.variant in ("fdk", "psi"):
-        pts = np.geomspace(0.05, 20.0, grid_n)
-        xg, yg = np.meshgrid(pts, pts)
-        return float(np.max(transport_residual(replace(spec, variant="fdk"), (xg, yg))))
-    rng = rng_stream(seed, 51_000)
-    norm = normalizers if normalizers is not None else matrix_normalizers(spec, seed)
-    worst = 0.0
-    for _ in range(grid_n):
-        x = matrix.random_spd(spec.r, rng)
-        y = matrix.random_spd(spec.r, rng)
-        worst = max(worst, transport_residual(spec, (x, y), normalizers=norm))
-    return worst
+def transport_grid_max(spec: BalanceSpec, grid_n: int = 20, seed: int = 0):
+    """(residual, tol) at the grid point where residual / tol is largest;
+    the identity holds on the grid when residual <= tol.
+
+    residual = |k - N| with k and S from `transport_residual`, and tol =
+    16 eps S + 3 se, N being log Z_X + log Z_Y - log Z_U - log Z_V and se
+    its standard error.  The rounding of k is about eps S (at most 1.3 eps S
+    measured); lambda of U off by 1e-6 relative gives over 200 eps S.
+    Scalar: N = se = 0 in closed form, on a log grid over [0.05, 20]^2,
+    grid_n to a side.  Matrix: N and se from `matrix_normalizers`, on grid_n
+    seeded random SPD pairs.
+    """
+    grid, norm, se = _VARIANTS[spec.variant].transport(spec, grid_n, seed)
+    k, scale = transport_residual(spec, grid)
+    resid = np.abs(k - norm)
+    tol = 16.0 * np.finfo(float).eps * scale + 3.0 * se
+    worst = np.argmax(resid / tol)
+    return float(resid.flat[worst]), float(tol.flat[worst])
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +585,8 @@ def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
             raise DomainError(f"y_override must be a {type(law_y).__name__} for {spec.variant}")
         law_y = y_override
     law_u, law_v = output_laws(spec)
+    # on streams of its own, before any draw: a refused normalizer costs none
+    resid, tol = transport_grid_max(spec, seed=seed)
     ks, mcmc_report = {}, None
     if spec.variant != "matrix":
         if mcmc is not None:
@@ -591,7 +596,7 @@ def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
         pair = var.cell_map(spec.map, (xs, ys))
         for name, data, law in zip(var.ks_names, pair, (law_u, law_v)):
             ks[name] = KsStat(*ks_1samp(data, lambda q: dist.cdf(law, q)), n)
-        stride, resid, tol = 1, transport_grid_max(spec), 1e-9
+        stride = 1
     else:
         runs = {key: matrix.mgig_sample(law, (seed + 17 * i + 1) % 2**64, n, mcmc=mcmc)
                 for i, (key, law) in enumerate((("X", law_x), ("Y", law_y),
@@ -617,9 +622,6 @@ def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
                 sm, sr = sm[::step], sr[::step_of(sr, ref)]
                 ks[f"{name}_{fname}"] = KsStat(*ks_2samp(sm, sr), len(sm))
         pair = [matrix.sym_to_vec(draws) for draws in mapped]
-        norm = matrix_normalizers(spec, seed, n=400_000)
-        resid = transport_grid_max(spec, grid_n=5, normalizers=norm, seed=seed)
-        tol = max(3.0 * norm.se, 1e-9)
         mcmc_report = {k: run.diagnostics_dict() for k, run in runs.items()}
 
     pool = np.arange(0, len(pair[0]), stride)

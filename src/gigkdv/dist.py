@@ -64,23 +64,18 @@ class GigParams:
                 f"the inverse-Gamma limit (a = 0) requires lam < 0, got lam={self.lam}")
 
 
-def _log_norm(law: GigParams) -> float:
-    # log of the density's normalizing constant (the multiplier, not its
-    # reciprocal)
-    if law.b == 0.0:
-        return law.lam * math.log(law.a) - specfun.log_gamma(law.lam)
-    if law.a == 0.0:
-        return -law.lam * math.log(law.b) - specfun.log_gamma(-law.lam)
-    return (0.5 * law.lam * (math.log(law.a) - math.log(law.b))
-            - math.log(2.0)
-            - specfun.bessel_k_log(law.lam, 2.0 * math.sqrt(law.a * law.b)))
-
-
 def log_pdf(law: GigParams, x) -> float | np.ndarray:
     """Log of the normalized density at x > 0."""
     xv = positive("log_pdf requires x > 0", x)
-    # a zero rate's term is an exact 0
-    out = _log_norm(law) + (law.lam - 1.0) * np.log(xv) - law.a * xv - law.b / xv
+    log_x = np.log(xv)
+    if law.b == 0.0:  # Gamma(lam, a)
+        out = (law.lam * math.log(law.a) - specfun.log_gamma(law.lam)
+               + (law.lam - 1.0) * log_x - law.a * xv)
+    elif law.a == 0.0:  # InvGamma(-lam, b)
+        out = (-law.lam * math.log(law.b) - specfun.log_gamma(-law.lam)
+               + (law.lam - 1.0) * log_x - law.b / xv)
+    else:
+        out = _log_weight(law, log_x, _log_weight_center(law)) - log_x
     return float(out) if out.ndim == 0 else out
 
 

@@ -250,18 +250,19 @@ def mgig_log_pdf_unnorm(params: MgigParams, x) -> float | np.ndarray:
     if x.shape[-1] != r:
         raise DomainError("dimension mismatch with the law")
     try:
-        ld = _logdet_spd(x)
+        out = sum(_log_kernel_terms(params, x))
     except np.linalg.LinAlgError:
         raise NotSpdError("x must be positive definite") from None
-    out = _log_kernel(params, x, ld)
     return float(out[0]) if single else out
 
 
-def _log_kernel(params: MgigParams, x: np.ndarray, ld: np.ndarray) -> np.ndarray:
-    # unnormalized log density of a batch x whose log det x is ld
-    tr_ax = np.einsum("ij,kji->k", params.a, x)
-    tr_bxi = np.einsum("ij,kji->k", params.b, np.linalg.inv(x))
-    return (params.p - 0.5 * (params.r + 1)) * ld - 0.5 * (tr_ax + tr_bxi)
+def _log_kernel_terms(params: MgigParams, x: np.ndarray):
+    # the three terms of the unnormalized log density at x, one matrix or a
+    # batch
+    ld = _logdet_spd(x)
+    tr_ax = np.einsum("ij,...ji->...", params.a, x)
+    tr_bxi = np.einsum("ij,...ji->...", params.b, np.linalg.inv(x))
+    return (params.p - 0.5 * (params.r + 1)) * ld, -0.5 * tr_ax, -0.5 * tr_bxi
 
 
 def mgig_mode(params: MgigParams) -> np.ndarray:
@@ -602,7 +603,7 @@ def _mgig_mcmc(params: MgigParams, seed: int, n: int,
     # log det x = 2 sum_i log L_ii and the Cholesky volume factor
     # sum_i (r + 2 - i) log L_ii are one linear form in log diag L
     coef = (2.0 * params.p - (r + 1)) + np.arange(r + 1, 1, -1, dtype=float)
-    # _log_kernel's two traces, each one matrix-vector product on the batch
+    # the kernel's two traces, each one matrix-vector product on the batch
     a_t, b_t = params.a.T.ravel(), params.b.T.ravel()
 
     def fill_x(theta):
@@ -613,8 +614,8 @@ def _mgig_mcmc(params: MgigParams, seed: int, n: int,
 
     def log_target(theta):
         # the density of x = L L^T pulled back to theta.  Summed in another
-        # order than _log_kernel plus the volume term, it may differ in the
-        # last bit; that flips an accept decision only when log u lies
+        # order than _log_kernel_terms plus the volume term, it may differ in
+        # the last bit; that flips an accept decision only when log u lies
         # within an ulp of the log ratio, so the oracle tests and the pinned
         # digests are the guard that the draws hold
         fill_x(theta)

@@ -100,11 +100,15 @@ class TestLawAssignment:
 
 
 class TestTransport:
+    EPS = np.finfo(float).eps
+
     def test_spec_point(self):
-        assert balance.transport_residual(fdk_spec(), (1.0, 1.0)) <= 1e-9
+        k, scale = balance.transport_residual(fdk_spec(), (1.0, 1.0))
+        assert abs(k) <= 16.0 * self.EPS * scale
 
     def test_grid(self):
-        assert balance.transport_grid_max(fdk_spec()) <= 1e-9
+        resid, tol = balance.transport_grid_max(fdk_spec())
+        assert resid <= tol < 1e-12
 
     def test_psi_conjugation_identical(self):
         spec_psi = replace(fdk_spec(), variant="psi")
@@ -115,21 +119,50 @@ class TestTransport:
     def test_matrix_r1_equals_scalar(self):
         spec1 = balance.BalanceSpec(P12, lam=-0.5, variant="matrix",
                                     a=np.array([[2.0]]), b=np.array([[3.0]]))
-        norm = balance.matrix_normalizers(spec1)
-        assert norm.se == 0.0
-        got = balance.transport_residual(
-            spec1, (np.array([[1.3]]), np.array([[0.7]])), normalizers=norm)
+        got = balance.transport_residual(spec1, (np.array([[1.3]]), np.array([[0.7]])))
         # the r = 1 MGIG(lam, a, b) marginal is GIG(lam, a/2, b/2)
         scalar = balance.BalanceSpec(P12, lam=0.5, c1=1.0, c2=1.5, variant="fdk")
         want = balance.transport_residual(scalar, (1.3, 0.7))
         assert got == pytest.approx(want, abs=1e-12)
+        assert balance.matrix_normalizers(spec1)[1] == 0.0
 
     def test_matrix_r2_within_mc_error(self):
         spec = matrix_spec()
-        norm = balance.matrix_normalizers(spec, seed=31, n=150_000)
-        resid = balance.transport_grid_max(spec, grid_n=4, normalizers=norm,
-                                           seed=31)
-        assert resid <= 3.0 * norm.se
+        resid, tol = balance.transport_grid_max(spec, grid_n=4, seed=31)
+        assert resid <= tol
+        # the normalizers' imbalance, not rounding, sets both
+        norm, se = balance.matrix_normalizers(spec, 31)
+        assert (resid, tol) == pytest.approx((abs(norm), 3.0 * se))
+
+    def test_matrix_residual_evaluates_no_normalizer(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("transport_residual evaluated a normalizer")
+
+        monkeypatch.setattr(matrix, "mgig_log_norm", refuse)
+        rng = rng_stream(31, 0)
+        for r in (2, 3):
+            xy = [np.array([matrix.random_spd(r, rng) for _ in range(10)]) for _ in range(2)]
+            k, scale = balance.transport_residual(matrix_spec(r=r), xy)
+            assert k.shape == scale.shape == (10,)
+            assert np.all(np.abs(k) <= 16.0 * self.EPS * scale)
+
+    @pytest.mark.parametrize("c", [1.0, 1e3, 1e5, 1e6])
+    @pytest.mark.parametrize("lam", [-2.0, 0.5, 2.0])
+    def test_gate_scales_with_the_terms(self, c, lam, monkeypatch):
+        # the terms grow like c, and so does their rounding, about 1e-9 at
+        # c = 1e5; lambda of U off by 1e-6 relative must still fail at every c
+        spec = fdk_spec(lam=lam, c1=c, c2=c)
+        resid, tol = balance.transport_grid_max(spec)
+        assert resid <= tol
+        laws = balance.output_laws
+
+        def wrong_u(spec):
+            law_u, law_v = laws(spec)
+            return replace(law_u, lam=law_u.lam * (1.0 + 1e-6)), law_v
+
+        monkeypatch.setattr(balance, "output_laws", wrong_u)
+        resid, tol = balance.transport_grid_max(spec)
+        assert resid > tol
 
 
 def oracle_dcor_test(u, v, n_perm, rng):
@@ -563,6 +596,35 @@ class TestMonteCarloBalance:
                 else replace(fdk_spec(), variant=variant))
         balance.monte_carlo_balance(spec, seed=3, n=1000)
         assert 1000 in sizes
+
+    @pytest.mark.parametrize("variant", ["fdk", "psi", "matrix"])
+    def test_verdict_gates_transport_once_through_the_module_binding(self, variant,
+                                                                     monkeypatch):
+        # a tracer replaces the binding to time the transport gate
+        calls = []
+        inner = balance.transport_grid_max
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec.variant)
+            return inner(spec, *args, **kwargs)
+
+        monkeypatch.setattr(balance, "transport_grid_max", counting)
+        spec = (matrix_spec() if variant == "matrix"
+                else replace(fdk_spec(), variant=variant))
+        balance.monte_carlo_balance(spec, seed=3, n=1000)
+        assert calls == [variant]
+
+    def test_refused_normalizer_draws_nothing(self, monkeypatch):
+        # one importance weight dominates each normalizer of a = diag(1e6,
+        # 1e-6): the verdict is refused before it draws from any law
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the verdict drew before its transport gate")
+
+        monkeypatch.setattr(matrix, "mgig_sample", no_draws)
+        spec = balance.BalanceSpec(P12, lam=0.5, variant="matrix",
+                                   a=np.diag([1e6, 1e-6]), b=np.eye(2))
+        with pytest.raises(DomainError, match="effective size"):
+            balance.monte_carlo_balance(spec, seed=7, n=20_000)
 
 
 class TestMachinery:

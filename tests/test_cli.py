@@ -245,13 +245,21 @@ class TestBalanceVerify:
         assert json.loads(out.read_text())["seed"] == seed
 
     def test_matrix_transport_tol_at_negative_lambda(self, tmp_path):
-        # the transport tolerance is 3 se of the four normalizers, so it is
-        # only as tight as their estimates at lambda = -2
+        # the transport tolerance is 16 eps S, about 1e-13 here, plus 3 se of
+        # the normalizers' imbalance, so it is only as tight as their
+        # estimates at lambda = -2
         out = tmp_path / "rep.json"
         assert run("balance verify --variant matrix --r 3 --lambda -2 "
                    "--a 2,0,0,0,1,0,0,0,0.5 --n 1000 --seed 7 --out".split()
                    + [str(out)]) == 0
         assert json.loads(out.read_text())["report"]["residual_tol"] < 0.05
+
+    @pytest.mark.parametrize("c", ["1e5", "1e6"])
+    def test_scalar_transport_at_large_rates(self, c):
+        # the log-density terms grow like c, and their rounding with them:
+        # 1.4e-9 at c = 1e5, which a fixed gate of 1e-9 once failed
+        assert run(f"balance verify --variant fdk --c1 {c} --c2 {c} --n 2000 "
+                   "--seed 7".split()) == 0
 
     def test_matrix_dominated_weights_exit_2(self, capsys):
         # one importance weight dominates each normalizer of a = diag(1e6,

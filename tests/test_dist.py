@@ -69,14 +69,15 @@ class TestLogPdf:
     def test_density_normalized_above_kve_range(self):
         # at z = 2 sqrt(ab) = 2e10 scipy's kve is nan; the normalizer once
         # came from a quadrature fallback off by 1.24 nats, and the mass was
-        # 0.290.  log_pdf sums terms of size z, whose spacing of 3.8e-6 sets
-        # the floor: the mass is 1 + 2.7e-6 by the trapezoid rule over
-        # mode +- 40 sd, which converges spectrally here
+        # 0.290.  Summing terms of size z, whose spacing is 3.8e-6, left the
+        # mass at 1 + 2.7e-6; the centered weight of `cdf` has no such terms.
+        # The trapezoid rule over mode +- 40 sd converges spectrally here, on
+        # nodes 2^-23 apart that are exact in floating point
         law = dist.GigParams(2.0, 1e10, 1e10)
-        sd = 1.0 / math.sqrt(2e10)
-        xs = np.linspace(1.0 - 40.0 * sd, 1.0 + 40.0 * sd, 4001)
-        mass = np.sum(np.exp(dist.log_pdf(law, xs))) * (xs[1] - xs[0])
-        assert mass == pytest.approx(1.0, abs=1e-5)
+        step = 2.0 ** -23
+        xs = 1.0 + step * np.arange(-2400, 2401)  # 40 sd = 2374 steps
+        mass = np.sum(np.exp(dist.log_pdf(law, xs))) * step
+        assert mass == pytest.approx(1.0, abs=1e-14)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

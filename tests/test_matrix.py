@@ -583,7 +583,7 @@ def is_oracle_moments(law, seed, n=100_000):
     normals, diag = matrix._bartlett_variates(df, law.r, n, rng_stream(seed, 5))
     y = wishart_draws(np.linalg.cholesky(v), normals, diag)
     ld = np.linalg.slogdet(y)[1]
-    lw = matrix._log_kernel(side, y, ld) - wishart_log_pdf(df, v, y, ld)
+    lw = sum(matrix._log_kernel_terms(side, y)) - wishart_log_pdf(df, v, y, ld)
     w = np.exp(lw - lw.max())
     w /= w.sum()
     assert 1.0 / np.sum(w ** 2) >= 1000.0  # the oracle's own effective size
