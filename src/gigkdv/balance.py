@@ -266,9 +266,9 @@ def _dist_matrix(z: np.ndarray) -> np.ndarray:
 
 
 def _dcor_matrices(u: np.ndarray, v: np.ndarray):
-    """Statistic of (u, v[idx]) for rows idx, from the double-centered
-    distance matrices A of u and B of v, (m, d) samples; None if a sample
-    is constant.
+    """(observed statistic, statistic of (u, v[idx]) for rows idx), from the
+    double-centered distance matrices A of u and B of v, (m, d) samples;
+    None if a sample is constant.
 
     A and B are symmetric, so over blocks of rows [s, e) of about
     _BATCH_CELLS cells a permutation's sum_ij A_ij B[idx_i, idx_j] is the
@@ -277,17 +277,17 @@ def _dcor_matrices(u: np.ndarray, v: np.ndarray):
     packed once as contiguous arrays (np.vdot copies a strided operand), and
     each block's gathers of B go into two buffers allocated once.
 
-    rows=None gives the observed pairing, as the mean over the full
-    matrices; it drops the packed pieces and overwrites B, so it comes
-    last.  At most two m x m matrices are held at once: B is built, squared
-    for its dVar and dropped; A is built, packed and dropped; B is built
-    again for the permutations; A is built again for the observed pairing.
+    At most two m x m matrices are held at once: B is built and gives its
+    dVar; A is built, and the mean of A B, written over B, is the observed
+    dCov^2; A gives its dVar, is packed and dropped; B is built again for
+    the permutations.
     """
     m = len(u)
     cb = _dist_matrix(v)
-    var_v = float(np.multiply(cb, cb, out=cb).mean())
-    del cb
+    var_v = float((cb * cb).mean())
     ca = _dist_matrix(u)
+    dcov2 = max(float(np.multiply(ca, cb, out=cb).mean()), 0.0)
+    del cb
     dvar = math.sqrt(max(float((ca * ca).mean()), 0.0) * max(var_v, 0.0))
     if dvar <= 0.0:
         return None
@@ -316,16 +316,10 @@ def _dcor_matrices(u: np.ndarray, v: np.ndarray):
         return total
 
     def dcor_of(rows):
-        if rows is None:
-            pieces.clear()
-            bufs.clear()
-            ca = _dist_matrix(u)
-            dcov2 = max(float(np.multiply(ca, cb, out=cb).mean()), 0.0)
-            return np.array([math.sqrt(dcov2 / dvar)])
         dcov2 = np.array([dcov2_of(idx, *bufs) for idx in rows]) / (float(m) * m)
         return np.sqrt(np.maximum(dcov2, 0.0) / dvar)
 
-    return dcor_of
+    return math.sqrt(dcov2 / dvar), dcor_of
 
 
 def _sorted_row_sums(z: np.ndarray):
@@ -339,8 +333,8 @@ def _sorted_row_sums(z: np.ndarray):
 
 
 def _dcor_1d(u: np.ndarray, v: np.ndarray):
-    """Statistic of (u, v[idx]) for rows idx, 1-D samples, in O(m log m) per
-    row; rows=None gives the observed pairing.  None if a sample is constant.
+    """(observed statistic, statistic of (u, v[idx]) for rows idx), 1-D
+    samples, in O(m log m) per row; None if a sample is constant.
 
     With a_ij = |u_i - u_j|, row sums a_i. and total a.. (b likewise),
     m^2 dCov^2 = sum_ij a_ij b_ij - (2/m) sum_i a_i. b_i. + a.. b.. / m^2
@@ -448,8 +442,6 @@ def _dcor_1d(u: np.ndarray, v: np.ndarray):
         return conc
 
     def dcor_of(rows):
-        if rows is None:
-            rows = np.arange(m)[None, :]
         r = rank_v[rows[:, ou]]  # rank of the v paired with the k-th smallest u
         cross = m * (vs[r] @ us) - cross0
         row_term = b[r] @ a
@@ -457,7 +449,7 @@ def _dcor_1d(u: np.ndarray, v: np.ndarray):
         dcov2 = 2.0 * (2.0 * conc - cross) / m2 - 2.0 * row_term / (m2 * m) + const
         return np.sqrt(np.maximum(dcov2, 0.0) / dvar)
 
-    return dcor_of
+    return float(dcor_of(np.arange(m)[None, :])[0]), dcor_of
 
 
 def distance_correlation_test(u: np.ndarray, v: np.ndarray,
@@ -478,9 +470,9 @@ def distance_correlation_test(u: np.ndarray, v: np.ndarray,
     rows of the re-indexed second matrix, gathered into two reused buffers
     of _BATCH_CELLS cells, O(m^2) per permutation after an O(m^2 d) setup.
     The permutations hold the second m x m float64 matrix and the first
-    one's packed triangle; two full matrices are held only at setup and for
-    the observed statistic.  The p-value (1 + #{perm >= observed}) /
-    (n_perm + 1) is exact under independence.
+    one's packed triangle; two full matrices are held only at setup, which
+    also gives the observed statistic.  The p-value (1 + #{perm >=
+    observed}) / (n_perm + 1) is exact under independence.
     """
     if rng is None:
         rng = rng_stream(0, 60_000)
@@ -495,18 +487,18 @@ def distance_correlation_test(u: np.ndarray, v: np.ndarray,
         raise DomainError("samples must have equal length")
     u, v = u.reshape(m, -1), v.reshape(m, -1)
     if u.shape[1] == v.shape[1] == 1:
-        dcor_of = _dcor_1d(u[:, 0], v[:, 0])
+        setup = _dcor_1d(u[:, 0], v[:, 0])
     else:
-        dcor_of = _dcor_matrices(u, v)
-    if dcor_of is None:
+        setup = _dcor_matrices(u, v)
+    if setup is None:
         return 0.0, 1.0
+    obs, dcor_of = setup
     batch = max(1, _BATCH_CELLS // m)
-    perm_stats = [dcor_of(np.array([rng.permutation(m)
-                                    for _ in range(min(batch, n_perm - start))]))
-                  for start in range(0, n_perm, batch)]
-    obs = float(dcor_of(None)[0])
-    hits = sum(int(np.count_nonzero(stats >= obs - _TIE_RTOL * obs))
-               for stats in perm_stats)
+    hits = 0
+    for start in range(0, n_perm, batch):
+        stats = dcor_of(np.array([rng.permutation(m)
+                                  for _ in range(min(batch, n_perm - start))]))
+        hits += int(np.count_nonzero(stats >= obs - _TIE_RTOL * obs))
     return obs, (1.0 + hits) / (n_perm + 1.0)
 
 

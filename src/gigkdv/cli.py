@@ -392,7 +392,7 @@ _B = Param("b", _entries, None, "row-major entries of b; default the identity")
 _LATTICE = (_N, Param("t", _size, 20), _ALPHA, _BETA, _LAMBDA,
             Param("c", _positive, 1.0), Param("c2", _positive, None, "default c"), _SEED)
 _REPLAY = (("--replay", {"help": "boundary file to replay"}),)
-_CHAINS = "used at r >= 4 and where exact draws fall back to MCMC (ill-conditioned a b)"
+_CHAINS = "used where exact draws fall back to MCMC (the envelope accepts under 1 %)"
 
 # (module, action, help, handler, parameter table, flag-only arguments)
 _COMMANDS = (
@@ -414,7 +414,7 @@ _COMMANDS = (
      _battery(lambda seed, params: matrix.prop51_battery(
          params["r"], params["alpha"], params["beta"], seed)),
      (_R, _ALPHA, _BETA, _SEED), ()),
-    ("matrix", "sample", "MGIG draws (exact at r <= 3, else MCMC), one row-major matrix per line",
+    ("matrix", "sample", "MGIG draws (exact, else MCMC), one row-major matrix per line",
      _cmd_matrix_sample,
      (_R, Param("p", float, 1.5), _A, _B, _N,
       Param("burn_in", int, matrix.McmcConfig.burn_in,

@@ -69,10 +69,10 @@ def log_pdf(law: GigParams, x) -> float | np.ndarray:
     xv = positive("log_pdf requires x > 0", x)
     log_x = np.log(xv)
     if law.b == 0.0:  # Gamma(lam, a)
-        out = (law.lam * math.log(law.a) - specfun.log_gamma(law.lam)
+        out = (law.lam * math.log(law.a) - math.lgamma(law.lam)
                + (law.lam - 1.0) * log_x - law.a * xv)
     elif law.a == 0.0:  # InvGamma(-lam, b)
-        out = (-law.lam * math.log(law.b) - specfun.log_gamma(-law.lam)
+        out = (-law.lam * math.log(law.b) - math.lgamma(-law.lam)
                + (law.lam - 1.0) * log_x - law.b / xv)
     else:
         out = _log_weight(law, log_x, _log_weight_center(law)) - log_x

@@ -11,15 +11,15 @@ has density proportional to
 
     det(x)^(p - (r+1)/2) exp(-(tr(a x) + tr(b x^-1)) / 2)
 
-on the SPD cone.  Draws at r <= 3 are exact: Bartlett draws from a
-Wishart envelope of x or of x^-1, accepted with probability h / sup h,
-where sup h has a closed form.  At r >= 4, and where the envelope accepts
-under 1 % (a b ill conditioned), sampling is Metropolis-Hastings on the
-Cholesky factor with burn-in-only scale adaptation.  The normalizer has no
-closed form for r >= 2 (exact Bessel form at r = 1); it is the envelope's
-mass times the mean of h / sup h over its proposals, drawn in vectorized
-blocks.  Each h comes from the Bartlett factor itself: log det x and
-tr(b x^-1) need no x, Cholesky or inverse per draw.
+on the SPD cone.  Draws are exact: Bartlett draws from a Wishart envelope
+of x or of x^-1, accepted with probability h / sup h, where sup h has a
+closed form.  Where the envelope's first block accepts under 1 % (a b ill
+conditioned, or r >= 4 at most orders p), sampling is Metropolis-Hastings
+on the Cholesky factor with burn-in-only scale adaptation.  The normalizer
+has no closed form for r >= 2 (exact Bessel form at r = 1); it is the
+envelope's mass times the mean of h / sup h over its proposals, drawn in
+vectorized blocks.  Each h comes from the Bartlett factor itself: log det
+x and tr(b x^-1) need no x, Cholesky or inverse per draw.
 
 Symmetric matrices are flattened isometrically (off-diagonal entries
 weighted by sqrt(2)) so that finite-difference Jacobian determinants agree
@@ -58,6 +58,8 @@ __all__ = [
 
 COND_CEILING = 1e12
 # Wishart draws built and weighed at once by mgig_log_norm and by exact sampling
+# up to r = 3; above, 9 _BLOCK / r^2 of them, so that a block's (n, r, r)
+# arrays keep their size at r = 3 (`_block`)
 _BLOCK = 1 << 14
 # exact sampling falls back to the chains when its first block accepts less
 _EXACT_MIN_ACCEPT = 0.01
@@ -304,6 +306,10 @@ def _bartlett_factors(normals: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return a
 
 
+def _block(r: int) -> int:
+    return max(1, min(_BLOCK, 9 * _BLOCK // (r * r)))
+
+
 def _lower_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     # low^-1 rhs for a batch of lower triangular low, by forward
     # substitution; a zero pivot gives inf or nan, not an error
@@ -332,11 +338,12 @@ def mgig_log_norm(params: MgigParams, seed: int = 0, n: int = 200_000):
         return ln, 0.0
     env = _envelope_setup(params)
     rng = rng_stream(seed, 90_001)
-    # the proposals are drawn and weighed _BLOCK at a time, so only the log
+    # the proposals are drawn and weighed a block at a time, so only the log
     # weights are held for all n
     lw = np.empty(n)
-    for s in range(0, n, _BLOCK):
-        block = lw[s:s + _BLOCK]
+    size = _block(params.r)
+    for s in range(0, n, size):
+        block = lw[s:s + size]
         block[:] = _weigh(env, *_bartlett_variates(env.nu, params.r, len(block), rng))[2]
     m = np.max(lw)
     w = np.exp(lw - m)
@@ -514,18 +521,19 @@ def _mgig_rejection(params: MgigParams, seed: int, n: int) -> MgigSample | None:
     # when the first block accepts fewer than _EXACT_MIN_ACCEPT
     env = _envelope_setup(params)
     r = params.r
+    size = _block(r)
     out = np.empty((n, r, r))
     ld = np.empty(n)
     rng = rng_stream(seed, 77_002)
     filled = accepted = proposed = 0
     worst = -math.inf  # the largest log h - log sup h met, <= 0 in exact arithmetic
     while filled < n:
-        factor, ld_y, log_w = _weigh(env, *_bartlett_variates(env.nu, r, _BLOCK, rng))
+        factor, ld_y, log_w = _weigh(env, *_bartlett_variates(env.nu, r, size, rng))
         worst = max(worst, float(np.max(log_w)))
-        keep = np.flatnonzero(np.log(rng.random(_BLOCK)) < log_w)
+        keep = np.flatnonzero(np.log(rng.random(size)) < log_w)
         accepted += len(keep)
-        proposed += _BLOCK
-        if proposed == _BLOCK and len(keep) < _EXACT_MIN_ACCEPT * _BLOCK:
+        proposed += size
+        if proposed == size and len(keep) < _EXACT_MIN_ACCEPT * size:
             return None
         keep = keep[:n - filled]
         part = slice(filled, filled + len(keep))
@@ -546,16 +554,17 @@ def _mgig_rejection(params: MgigParams, seed: int, n: int) -> MgigSample | None:
 
 def mgig_sample(params: MgigParams, seed: int, n: int,
                 mcmc: McmcConfig | None = None) -> MgigSample:
-    """n MGIG draws: exact and i.i.d. at r <= 3, else from Metropolis chains.
+    """n MGIG draws: exact and i.i.d., or from Metropolis chains.
 
-    At r <= 3 the draws come by rejection from a Wishart envelope (of x or
-    of x^-1, whichever accepts more), tuned in closed form with no pilot
-    run; `acceptance_rate` is accepted over proposed draws, `step` is 0, and
+    The draws come by rejection from a Wishart envelope (of x or of x^-1,
+    whichever accepts more), tuned in closed form with no pilot run;
+    `acceptance_rate` is accepted over proposed draws, `step` is 0, and
     `ok` is False only if a proposal exceeds the envelope (a fault).  Where
     the first block of proposals accepts fewer than 1 % (a b ill
-    conditioned), and at r >= 4, the draws come from `_mgig_mcmc`, which
-    `mcmc` configures; exact draws ignore it.  `sampler` names which ran.
-    Split R-hat and ESS of log det X and tr X are attached either way.
+    conditioned, or r >= 4 at most p: 0.2 % at r = 4, p = 0.5 with
+    identity rates), the draws come from `_mgig_mcmc`, which `mcmc`
+    configures; exact draws ignore it.  `sampler` names which ran.  Split
+    R-hat and ESS of log det X and tr X are attached either way.
     """
     cfg = mcmc or McmcConfig()
     if -(-n // cfg.chains) < 4:
@@ -567,7 +576,7 @@ def mgig_sample(params: MgigParams, seed: int, n: int,
     if -(-n // cfg.chains) * cfg.chains * r * r > np.iinfo(np.intp).max // 8:
         raise DomainError(f"{n} draws of {r} x {r} matrices are more float64 "
                           "values than numpy can index")
-    run = _mgig_rejection(params, seed, n) if r <= 3 else None
+    run = _mgig_rejection(params, seed, n)
     return run if run is not None else _mgig_mcmc(params, seed, n, cfg)
 
 

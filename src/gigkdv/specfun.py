@@ -1,4 +1,4 @@
-"""Modified Bessel functions K_nu, I_nu and log-gamma kernels.
+"""Modified Bessel functions K_nu and I_nu.
 
 Everything downstream (GIG normalizers, extended Laplace transforms,
 detailed-balance residuals) is computed in log space, so the log-scaled
@@ -20,7 +20,7 @@ K is even in its order; that symmetry is enforced by construction, so
 import math
 
 import numpy as np
-from scipy.special import gammaln, ive, kve
+from scipy.special import ive, kve
 
 from .errors import DomainError, positive
 
@@ -32,7 +32,6 @@ __all__ = [
     "bessel_i_log",
     "bessel_k_quadrature",
     "bessel_k_log_quadrature",
-    "log_gamma",
     "kv_deriv",
     "iv_deriv",
     "ode_residual",
@@ -40,12 +39,6 @@ __all__ = [
 ]
 
 _LOG_DBL_MAX = math.log(np.finfo(float).max)
-
-
-def log_gamma(x):
-    """log Gamma(x) for x > 0 (vectorized)."""
-    out = gammaln(positive("log_gamma requires x > 0 and finite", x))
-    return float(out) if out.ndim == 0 else out
 
 
 _BESSEL_Z = "Bessel argument must be finite and > 0"

@@ -337,24 +337,29 @@ class TestDistanceCorrelation:
     @pytest.mark.parametrize("m", [2, 3, 5, 63, 64, 65, 999, 1000, 1024, 1025])
     @pytest.mark.parametrize("kind", ["ties", "heavy", "dependent"])
     def test_merge_kernel_matches_oracle_bits(self, kind, m):
-        # a full batch, a ragged last batch and the observed pairing, in the
+        # the observed pairing, a full batch and a ragged last batch, in the
         # order of distance_correlation_test, through the same buffers; at
-        # m = 1000 the 65 and 22 rows run as chunks of 16 and a short chunk
+        # m = 1000 the 65 and 22 rows run as chunks of 16 and a short chunk.
+        # The setup's observed statistic is the identity row's, bit for bit
         u, v = dcor_sample(kind, m, 0)
-        dcor_of = balance._dcor_1d(u, v)
+        setup = balance._dcor_1d(u, v)
         if oracle_merge_dcor_1d(u, v, None) is None:
-            assert dcor_of is None
+            assert setup is None
             return
+        obs, dcor_of = setup
         batch = max(1, balance._BATCH_CELLS // m)
         perms = np.argsort(rng_stream(1, m).random((batch + batch // 3 + 1, m)), axis=1)
-        for rows in (perms[:batch], perms[batch:], None):
+        for rows in (np.arange(m)[None, :], perms[:batch], perms[batch:]):
             got, want = dcor_of(rows), oracle_merge_dcor_1d(u, v, rows)
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        identity = dcor_of(np.arange(m)[None, :])
+        assert np.array_equal(np.array([obs]).view(np.int64), identity.view(np.int64))
 
     def test_merge_kernel_matches_oracle_bits_at_1e5(self):
         u, v = dcor_sample("heavy", 100_000, 0)
-        got = balance._dcor_1d(u, v)(None)
+        obs, _ = balance._dcor_1d(u, v)
+        got = np.array([obs])
         assert np.array_equal(got.view(np.int64), oracle_merge_dcor_1d(u, v, None).view(np.int64))
 
     def test_merge_batch_allocates_no_level_arrays(self):
@@ -362,7 +367,7 @@ class TestDistanceCorrelation:
         # arrays peak at 1.04 MB; fresh arrays for every step of every level
         # took a 9.71 MB peak here
         u, v = dcor_sample("dependent", 1000, 0)
-        dcor_of = balance._dcor_1d(u, v)
+        _, dcor_of = balance._dcor_1d(u, v)
         rows = np.array([rng_stream(8, 0).permutation(1000) for _ in range(65)])
         tracemalloc.start()
         try:
@@ -393,7 +398,8 @@ class TestDistanceCorrelation:
         u = rng.normal(size=(m, d))
         v = np.column_stack([u[:, :1] ** 2, rng.normal(size=(m, d - 1))])
         rows = np.array([rng.permutation(m) for _ in range(5)])
-        got = balance._dcor_matrices(u, v)(rows) ** 2
+        _, dcor_of = balance._dcor_matrices(u, v)
+        got = dcor_of(rows) ** 2
         np.testing.assert_allclose(got, oracle_block_dcor(u, v, rows), rtol=1e-12, atol=0.0)
 
     def test_permutation_batch_allocates_no_matrix(self):
@@ -401,7 +407,7 @@ class TestDistanceCorrelation:
         # kernel allocated two 520 KB temporaries for every block
         rng = rng_stream(7, 0)
         u, v = rng.normal(size=(1000, 3)), rng.normal(size=(1000, 3))
-        dcor_of = balance._dcor_matrices(u, v)
+        _, dcor_of = balance._dcor_matrices(u, v)
         rows = np.array([rng.permutation(1000) for _ in range(65)])
         tracemalloc.start()
         try:
@@ -446,6 +452,22 @@ class TestDistanceCorrelation:
         finally:
             tracemalloc.stop()
         assert peak < 12_000_000
+
+    def test_vector_test_builds_three_distance_matrices(self, monkeypatch):
+        # B for its dVar, A for its dVar and the observed dCov^2, B again for
+        # the permutations; rebuilding A for the observed statistic made 4
+        built = []
+        dist_matrix = balance._dist_matrix
+
+        def counting(z):
+            built.append(len(z))
+            return dist_matrix(z)
+
+        monkeypatch.setattr(balance, "_dist_matrix", counting)
+        rng = rng_stream(5, 0)
+        u, v = rng.normal(size=(200, 3)), rng.normal(size=(200, 2))
+        balance.distance_correlation_test(u, v, n_perm=19, rng=rng)
+        assert built == [200, 200, 200]
 
     def test_vector_test_memory_bounded(self):
         # two 8 MB distance matrices and a block of rows; holding a third

@@ -322,6 +322,20 @@ class TestNormalizer:
             tracemalloc.stop()
         assert peak < 25_000_000
 
+    def test_block_memory_bounded_at_r22(self):
+        # one block of 16,384 proposals of 22 x 22 matrices once took a
+        # 166 MB peak here; a block of 9 * 16,384 / r^2 proposals keeps the
+        # size of its arrays at r = 3 (about 4 MB here at r = 3 and 22)
+        law = matrix.MgigParams(0.5, np.eye(22), np.eye(22))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="effective size"):
+                matrix.mgig_log_norm(law, seed=5, n=16_384)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000
+
     def test_identity_rates_r2(self):
         law = matrix.MgigParams(3.0, np.eye(2), np.eye(2))
         ln1, se1 = matrix.mgig_log_norm(law, seed=5, n=100_000)
@@ -573,6 +587,27 @@ def wishart_proposal(law):
     return max(df, law.r + 1.5), matrix.check_spd(v, "proposal scale")
 
 
+def envelope_is_moments(law, seed, n=100_000):
+    """Self-normalized IS means of `mgig_functionals` and their delta-method
+    standard errors, from the Wishart envelope of x or of x^-1 that the
+    exact sampler picks, with weights h computed from x itself by `log_h`."""
+    sides = [(law.p, law.a, law.b), (-law.p, law.b, law.a)]
+    envelopes = [matrix._envelope(*side) for side in sides]
+    mirror = bool(envelopes[1][0] < envelopes[0][0])
+    p, a, b = sides[mirror]
+    nu = envelopes[mirror][1]
+    normals, diag = matrix._bartlett_variates(nu, law.r, n, rng_stream(seed, 6))
+    y = wishart_draws(np.linalg.cholesky(np.linalg.inv(a)), normals, diag)
+    y = y[np.linalg.cond(y) < 1e12]  # chi2 variates of small df may underflow
+    lw = log_h(p, a, b, nu, y)
+    w = np.exp(lw - lw.max())
+    w /= w.sum()
+    assert 1.0 / np.sum(w ** 2) >= 1000.0  # the oracle's own effective size
+    f = mgig_functionals(np.linalg.inv(y) if mirror else y)
+    mean = f @ w
+    return mean, np.sqrt((f - mean[:, None]) ** 2 @ w ** 2)
+
+
 def is_oracle_moments(law, seed, n=100_000):
     """Self-normalized IS means of `mgig_functionals` and their delta-method
     standard errors, from `wishart_proposal`, built for x or, at
@@ -643,6 +678,31 @@ class TestExactSampler:
             mean, se = got.mean(axis=1), got.std(axis=1) / math.sqrt(len(draws))
             want, want_se = is_oracle_moments(law, i)
             assert np.all(np.abs(mean - want) <= 4.0 * np.hypot(se, want_se)), (law, i)
+
+    @pytest.mark.parametrize("lam", [2.0, -2.0])
+    def test_exact_at_r5(self, lam):
+        # at r = 5 the envelope of identity rates accepts about 4 %, so the
+        # draws are exact; their moments match an IS estimate from that
+        # envelope within 4 combined standard errors
+        law = matrix.MgigParams(lam, np.eye(5), np.eye(5))
+        run = matrix.mgig_sample(law, 5, 20_000)
+        assert run.sampler == "rejection" and run.ok
+        assert 0.01 <= run.acceptance_rate < 0.1
+        got = mgig_functionals(run.draws)
+        mean, se = got.mean(axis=1), got.std(axis=1) / math.sqrt(len(run.draws))
+        want, want_se = envelope_is_moments(law, 5)
+        assert np.all(np.abs(mean - want) <= 4.0 * np.hypot(se, want_se))
+
+    def test_low_acceptance_at_r4_runs_the_chains(self):
+        # at r = 4, lambda = 0.5 the envelope accepts about 0.2 %: the first
+        # block falls back to the chains, which run as if called directly
+        law = matrix.MgigParams(0.5, np.eye(4), np.eye(4))
+        cfg = matrix.McmcConfig(burn_in=200, thin=2)
+        got = matrix.mgig_sample(law, 11, 400, mcmc=cfg)
+        want = matrix._mgig_mcmc(law, 11, 400, mcmc=cfg)
+        assert got.sampler == "mcmc"
+        assert np.array_equal(got.draws, want.draws)
+        assert got.diagnostics_dict() == want.diagnostics_dict()
 
     def test_singular_proposals_rejected(self):
         # the search picks nu of about 2.57 here, so chi2(nu - 2) variates

@@ -152,9 +152,3 @@ class TestOdeResidual:
 def test_check_table_all_pass():
     rows = specfun.check_table()
     assert rows and all(bool(r[-1]) for r in rows)
-
-
-def test_log_gamma():
-    assert specfun.log_gamma(5.0) == pytest.approx(math.lgamma(5.0), rel=1e-15)
-    with pytest.raises(DomainError):
-        specfun.log_gamma(0.0)
