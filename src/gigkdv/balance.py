@@ -454,12 +454,13 @@ def _dcor_1d(u: np.ndarray, v: np.ndarray):
 
 def distance_correlation_test(u: np.ndarray, v: np.ndarray,
                               n_perm: int = 499,
-                              rng: np.random.Generator | None = None):
+                              rng: np.random.Generator | None = None,
+                              stop_hits: int | None = None):
     """Distance correlation of two samples with a permutation p-value.
 
-    Returns (dcor, p), where dcor = sqrt(dCov^2 / sqrt(dVar^2_u dVar^2_v))
-    lies in [0, 1] (Szekely, Rizzo & Bakirov 2007, Ann. Statist. 35(6)),
-    and is 0 when a sample is constant.  For 1-D samples every statistic
+    Returns (dcor, p, n_run), where dcor = sqrt(dCov^2 / sqrt(dVar^2_u
+    dVar^2_v)) lies in [0, 1] (Szekely, Rizzo & Bakirov 2007, Ann. Statist.
+    35(6)), and is 0 when a sample is constant.  For 1-D samples every statistic
     comes from sorting and dominance sums, O(m log m) per permutation;
     permutations are batched, so that a batch costs O(log m) numpy steps
     per chunk of rows.  The steps work in O(_LEVEL_CELLS + m) buffers
@@ -471,13 +472,26 @@ def distance_correlation_test(u: np.ndarray, v: np.ndarray,
     of _BATCH_CELLS cells, O(m^2) per permutation after an O(m^2 d) setup.
     The permutations hold the second m x m float64 matrix and the first
     one's packed triangle; two full matrices are held only at setup, which
-    also gives the observed statistic.  The p-value (1 + #{perm >=
-    observed}) / (n_perm + 1) is exact under independence.
+    also gives the observed statistic.
+
+    A permutation whose statistic reaches the observed one is a hit.  With
+    stop_hits=None every permutation runs and p = (1 + hits) / (n_perm + 1).
+    With stop_hits = h the p-value is Besag and Clifford's sequential one
+    (1991, Biometrika 78): the test stops at the first batch whose running
+    count reaches h, and p = h / L, where L is the 1-based index of the
+    h-th hit in the permutation stream, so p does not depend on the batch
+    size; a test that never reaches h runs all n_perm permutations and
+    returns the p above.  Both p-values are exact under independence.
+    n_run is the permutations p rests on: L if the test stopped, n_perm if
+    not, 0 for a constant sample.  The rest of the batch that holds the
+    h-th hit is computed too, and not counted.
     """
     if rng is None:
         rng = rng_stream(0, 60_000)
     if not n_perm >= 0:
         raise DomainError(f"n_perm must be >= 0, got {n_perm}")
+    if stop_hits is not None and (not isinstance(stop_hits, (int, np.integer)) or stop_hits < 1):
+        raise DomainError(f"stop_hits must be None or an integer >= 1, got {stop_hits!r}")
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.size == 0 or v.size == 0:
@@ -491,15 +505,19 @@ def distance_correlation_test(u: np.ndarray, v: np.ndarray,
     else:
         setup = _dcor_matrices(u, v)
     if setup is None:
-        return 0.0, 1.0
+        return 0.0, 1.0, 0
     obs, dcor_of = setup
     batch = max(1, _BATCH_CELLS // m)
     hits = 0
     for start in range(0, n_perm, batch):
         stats = dcor_of(np.array([rng.permutation(m)
                                   for _ in range(min(batch, n_perm - start))]))
-        hits += int(np.count_nonzero(stats >= obs - _TIE_RTOL * obs))
-    return obs, (1.0 + hits) / (n_perm + 1.0)
+        hit = np.flatnonzero(stats >= obs - _TIE_RTOL * obs)
+        if stop_hits is not None and hits + len(hit) >= stop_hits:
+            n_run = start + int(hit[stop_hits - hits - 1]) + 1
+            return obs, stop_hits / n_run, n_run
+        hits += len(hit)
+    return obs, (1.0 + hits) / (n_perm + 1.0), n_perm
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +533,7 @@ class KsStat:
 
 @dataclass(frozen=True)
 class IndependenceStat:
+    # n_permutations: the permutations that p_value rests on
     statistic: float
     p_value: float
     n_used: int
@@ -550,10 +569,15 @@ def spec_params(spec: BalanceSpec) -> dict:
 
 
 # every p-value of a verdict is gated at _P_THRESHOLD; the independence test
-# runs _N_PERM permutations on a seeded subsample of _DCOR_M mapped pairs
+# runs up to _N_PERM permutations on a seeded subsample of _DCOR_M mapped
+# pairs and stops at the _STOP_HITS-th hit, with Besag and Clifford's
+# sequential p-value.  The flag is the full test's: while _STOP_HITS /
+# _N_PERM > _P_THRESHOLD, a test that stops has p > _P_THRESHOLD and so
+# would the full one, and a test that does not stop is the full one
 _P_THRESHOLD = 0.01
 _DCOR_M = 1000
 _N_PERM = 499
+_STOP_HITS = 10
 
 
 def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
@@ -561,6 +585,12 @@ def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
                         mcmc: "matrix.McmcConfig | None" = None) -> BalanceReport:
     """Sample, map, test: KS per mapped marginal, distance correlation for
     the mapped pair, plus the deterministic transport residual.
+
+    The distance-correlation test stops at its _STOP_HITS-th hit with
+    Besag and Clifford's sequential p-value (see
+    distance_correlation_test); its flag is the one all _N_PERM
+    permutations would give, and `independence.n_permutations` counts the
+    permutations its p-value rests on.
 
     A scalar marginal is tested against its CDF; a matrix one by log det
     and trace against draws of its law, thinned to their effective size
@@ -619,9 +649,9 @@ def monte_carlo_balance(spec: BalanceSpec, seed: int, n: int,
     pool = np.arange(0, len(pair[0]), stride)
     sub = rng_stream(seed, 3).choice(pool, size=min(_DCOR_M, len(pool)),
                                      replace=False)
-    stat, p = distance_correlation_test(pair[0][sub], pair[1][sub],
-                                        n_perm=_N_PERM, rng=rng_stream(seed, 4))
-    ind = IndependenceStat(float(stat), float(p), len(sub), _N_PERM)
+    stat, p, n_run = distance_correlation_test(pair[0][sub], pair[1][sub], n_perm=_N_PERM,
+                                               rng=rng_stream(seed, 4), stop_hits=_STOP_HITS)
+    ind = IndependenceStat(float(stat), float(p), len(sub), n_run)
     flags = {f"ks_{k}": ks[k].p_value > _P_THRESHOLD for k in ks}
     flags["independence"] = ind.p_value > _P_THRESHOLD
     flags["transport"] = resid <= tol

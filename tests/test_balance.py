@@ -165,9 +165,10 @@ class TestTransport:
         assert resid > tol
 
 
-def oracle_dcor_test(u, v, n_perm, rng):
+def oracle_dcor_test(u, v, n_perm, rng, stop_hits=None):
     """The O(m^2)-per-permutation test for 1-D samples: double-centered
-    distance matrices, the second re-indexed for every permutation."""
+    distance matrices, the second re-indexed for every permutation; with
+    stop_hits = h, p = h / L at the L-th permutation, the h-th hit."""
     def centered(z):
         d = np.abs(z[:, None] - z[None, :])
         return d - d.mean(axis=0, keepdims=True) - d.mean(axis=1, keepdims=True) + d.mean()
@@ -183,15 +184,18 @@ def oracle_dcor_test(u, v, n_perm, rng):
 
     obs = dcor_of(cb)
     hits = 0
-    for _ in range(n_perm):
+    for k in range(n_perm):
         idx = rng.permutation(len(u))
         hits += dcor_of(cb[np.ix_(idx, idx)]) >= obs - balance._TIE_RTOL * obs
+        if hits == stop_hits:
+            return obs, hits / (k + 1.0)
     return obs, (1.0 + hits) / (n_perm + 1.0)
 
 
-def oracle_dcor_matrices_test(u, v, n_perm, rng):
+def oracle_dcor_matrices_test(u, v, n_perm, rng, stop_hits=None):
     """The d > 1 test as first written: Euclidean double-centered distance
-    matrices, the second re-indexed by np.ix_ for every permutation."""
+    matrices, the second re-indexed by np.ix_ for every permutation; with
+    stop_hits = h, p = h / L at the L-th permutation, the h-th hit."""
     def centered(z):
         diff = z[:, None, :] - z[None, :, :]
         d = np.sqrt(np.sum(diff * diff, axis=-1))
@@ -206,8 +210,11 @@ def oracle_dcor_matrices_test(u, v, n_perm, rng):
         return math.sqrt(dcov2 / dvar)
 
     obs = dcor_of(np.arange(len(u)))
-    hits = sum(dcor_of(rng.permutation(len(u))) >= obs - balance._TIE_RTOL * obs
-               for _ in range(n_perm))
+    hits = 0
+    for k in range(n_perm):
+        hits += dcor_of(rng.permutation(len(u))) >= obs - balance._TIE_RTOL * obs
+        if hits == stop_hits:
+            return obs, hits / (k + 1.0)
     return obs, (1.0 + hits) / (n_perm + 1.0)
 
 
@@ -288,7 +295,7 @@ def independence_calibration(seed, reps, m, n_perm):
         rng = rng_stream(seed, 61_000 + k)
         u = dist.draw(law, rng, m)
         v = dist.draw(law, rng, m)
-        _, p = balance.distance_correlation_test(u, v, n_perm=n_perm, rng=rng)
+        _, p, _ = balance.distance_correlation_test(u, v, n_perm=n_perm, rng=rng)
         hits += p <= 0.01
     return hits
 
@@ -328,7 +335,7 @@ class TestDistanceCorrelation:
         n_perm = 99 if m < 1000 else 49
         for seed in range(3 if m < 100 else 1):
             u, v = dcor_sample(kind, m, seed)
-            stat, p = balance.distance_correlation_test(
+            stat, p, _ = balance.distance_correlation_test(
                 u, v, n_perm=n_perm, rng=rng_stream(seed, 7))
             want_stat, want_p = oracle_dcor_test(u, v, n_perm, rng_stream(seed, 7))
             assert stat == pytest.approx(want_stat, rel=1e-10, abs=0.0)
@@ -379,13 +386,13 @@ class TestDistanceCorrelation:
 
     def test_constant_sample(self):
         # a constant sample, of scalars or of 3-vectors, returns before any
-        # permutation is drawn
+        # permutation is drawn, and counts none
         z = np.linspace(0.1, 3.0, 40)
         z3 = rng_stream(6, 0).normal(size=(40, 3))
         for u, v in ((np.full(40, 0.1), z), (z, np.full(40, 0.7)),
                      (np.full((40, 3), 0.1), z3), (z3, np.full((40, 3), 0.7))):
             rng = rng_stream(6, 1)
-            assert balance.distance_correlation_test(u, v, n_perm=9, rng=rng) == (0.0, 1.0)
+            assert balance.distance_correlation_test(u, v, n_perm=9, rng=rng) == (0.0, 1.0, 0)
             assert rng.random() == rng_stream(6, 1).random()
 
     @pytest.mark.parametrize("d", [2, 3, 6])
@@ -428,7 +435,7 @@ class TestDistanceCorrelation:
             v = np.column_stack([u[:, 0] ** 2, rng.normal(size=(m, 2))])
             got = balance.distance_correlation_test(u, v, n_perm=n_perm,
                                                     rng=rng_stream(seed, 8))
-            assert got == oracle_dcor_matrices_test(u, v, n_perm, rng_stream(seed, 8))
+            assert got[:2] == oracle_dcor_matrices_test(u, v, n_perm, rng_stream(seed, 8))
 
     @pytest.mark.parametrize("d", [3, 6, 15])
     def test_dimensions_match_ix_oracle(self, d):
@@ -439,7 +446,7 @@ class TestDistanceCorrelation:
         v = np.column_stack([u[:, :1] ** 2, rng.normal(size=(700, d - 1))])
         got = balance.distance_correlation_test(u, v, n_perm=19,
                                                 rng=rng_stream(d, 9))
-        assert got == oracle_dcor_matrices_test(u, v, 19, rng_stream(d, 9))
+        assert got[:2] == oracle_dcor_matrices_test(u, v, 19, rng_stream(d, 9))
 
     def test_distance_matrix_memory_bounded(self):
         # an (m, m, d) difference tensor once took a 104 MB peak here, and
@@ -499,7 +506,7 @@ class TestDistanceCorrelation:
         # the statistic when it became the distance correlation
         rng = rng_stream(5, 0)
         u, v = rng.normal(size=(150, 3)), rng.normal(size=(150, 3))
-        assert balance.distance_correlation_test(u, v, n_perm=99, rng=rng) == \
+        assert balance.distance_correlation_test(u, v, n_perm=99, rng=rng)[:2] == \
             (0.2707109613184893, 0.21)
 
     @pytest.mark.parametrize("d", [1, 3])
@@ -512,7 +519,7 @@ class TestDistanceCorrelation:
              "identical": u.copy()}[kind]
         want = direct_dcor(u, v)
         for scale in (1.0, 100.0):
-            stat, _ = balance.distance_correlation_test(scale * u, v, n_perm=9)
+            stat, _, _ = balance.distance_correlation_test(scale * u, v, n_perm=9)
             assert 0.0 <= stat <= 1.0 + 1e-12
             assert stat == pytest.approx(want, rel=1e-10, abs=1e-14)
 
@@ -520,20 +527,81 @@ class TestDistanceCorrelation:
         rng = rng_stream(1, 0)
         u = rng.normal(size=400)
         v = u * u + 0.1 * rng.normal(size=400)
-        stat, p = balance.distance_correlation_test(u, v, n_perm=199, rng=rng)
+        stat, p, _ = balance.distance_correlation_test(u, v, n_perm=199, rng=rng)
         assert p <= 0.01
         assert stat > 0.1
 
     def test_independent_null(self):
         rng = rng_stream(2, 0)
         u, v = rng.normal(size=400), rng.normal(size=400)
-        _, p = balance.distance_correlation_test(u, v, n_perm=199, rng=rng)
+        _, p, _ = balance.distance_correlation_test(u, v, n_perm=199, rng=rng)
         assert p > 0.05
 
     def test_calibration_super_uniform(self):
         hits = independence_calibration(seed=0, reps=100, m=200, n_perm=99)
         # P(p <= 0.01) <= 0.01 under the null; 100 repetitions
         assert hits <= 4
+
+    @pytest.mark.parametrize("d,m", [(1, 300), (3, 120)])
+    def test_sequential_p_matches_oracle(self, d, m, monkeypatch):
+        # batches of 8 or of 1 permutation: h = 3 stops mid-batch in the
+        # first batch at d = 1 and in the third at d = 3, h = 10 in a later
+        # batch, h = 100 never; p = h / L on the prefix of the oracle's
+        # permutation stream, whatever the batch size
+        rng = rng_stream(0, 500 + d)
+        u, v = rng.normal(size=(m, d)), rng.normal(size=(m, d))
+        if d == 1:
+            u, v = u[:, 0], v[:, 0]
+        oracle = oracle_dcor_test if d == 1 else oracle_dcor_matrices_test
+        runs = []
+        for h in (3, 10, 100):
+            got = []
+            for rows in (8, 1):
+                monkeypatch.setattr(balance, "_BATCH_CELLS", rows * m)
+                got.append(balance.distance_correlation_test(u, v, 99, rng_stream(0, 9),
+                                                             stop_hits=h))
+            assert got[0] == got[1]
+            stat, p, n_run = got[0]
+            want = oracle(u, v, 99, rng_stream(0, 9), stop_hits=h)
+            assert stat == pytest.approx(want[0], rel=1e-10, abs=0.0)
+            assert p == want[1]
+            if h < 100:
+                assert p == h / n_run
+            else:
+                assert n_run == 99 and want == oracle(u, v, 99, rng_stream(0, 9))
+            runs.append(n_run)
+        assert runs[0] % 8 and runs[1] > 8 and runs[1] % 8
+
+    def test_sequential_flag_matches_full_test(self):
+        # at the verdict's stop count and gate, on null and on dependent
+        # pairs: a test that stops has p > 0.01, and so does the full one
+        law = dist.GigParams(0.5, 1.0, 1.0)
+        gate, h = balance._P_THRESHOLD, balance._STOP_HITS
+        for c in (0.0, 0.15):
+            stopped = failed = 0
+            for k in range(200):
+                rng = rng_stream(0, 62_000 + k)
+                u = dist.draw(law, rng, 200)
+                v = dist.draw(law, rng, 200) + c * u
+                _, p_full, _ = balance.distance_correlation_test(u, v, 99, rng_stream(1, k))
+                _, p_seq, n_run = balance.distance_correlation_test(u, v, 99, rng_stream(1, k),
+                                                                    stop_hits=h)
+                assert (p_seq > gate) == (p_full > gate)
+                stopped += n_run < 99
+                failed += p_full <= gate
+            # both branches are exercised: the null stops, the dependent fails
+            assert stopped > 100 if c == 0.0 else failed > 50
+
+    def test_stop_count_keeps_every_verdict_flag(self):
+        # a stopped test has p = h / L >= _STOP_HITS / _N_PERM, which must
+        # clear the gate for its flag to be the full test's
+        assert balance._STOP_HITS / balance._N_PERM > balance._P_THRESHOLD
+
+    @pytest.mark.parametrize("stop_hits", [0, -3, 2.0, "10"])
+    def test_bad_stop_count(self, stop_hits):
+        z = np.linspace(0.1, 3.0, 40)
+        with pytest.raises(DomainError, match="stop_hits"):
+            balance.distance_correlation_test(z, z[::-1], n_perm=9, stop_hits=stop_hits)
 
 
 class TestMonteCarloBalance:

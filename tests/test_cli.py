@@ -261,6 +261,17 @@ class TestBalanceVerify:
         assert run(f"balance verify --variant fdk --c1 {c} --c2 {c} --n 2000 "
                    "--seed 7".split()) == 0
 
+    def test_matrix_independence_fail_runs_every_permutation(self, tmp_path):
+        # 4 of 499 permutations reach the observed dcor: the test never
+        # stops, and the prong FAILs at p = 0.01 as the full test did
+        out = tmp_path / "rep.json"
+        assert run("balance verify --variant matrix --r 2 --n 12000 --b 2,0,0,2 "
+                   "--seed 2007 --out".split() + [str(out)]) == 1
+        rep = json.loads(out.read_text())["report"]
+        assert rep["independence"]["p_value"] == 0.01
+        assert rep["independence"]["n_permutations"] == 499
+        assert not rep["pass_flags"]["independence"] and not rep["passed"]
+
     def test_matrix_dominated_weights_exit_2(self, capsys):
         # one importance weight dominates each normalizer of a = diag(1e6,
         # 1e-6), so their se means nothing: the verdict is refused, not FAIL

@@ -22,11 +22,14 @@ GOLDEN = [
     # statistics and p-values moved in their last digits.  All five were
     # re-recorded when the transport gate came to weigh the unnormalized
     # densities in units of their rounding: only max_log_residual and
-    # residual_tol moved, in every report of the batch too
+    # residual_tol moved, in every report of the batch too.  All five
+    # were re-recorded when the independence test came to stop at its 10th
+    # hit with a sequential p-value: only independence.p_value and
+    # independence.n_permutations moved
     ("balance verify --variant fdk --n 2000 --seed 7", 0,
-     "c0152d5eca3dd838741b82be72812442a2b44e24f5d1f18ae4d08ea838d2bd1f"),
+     "dfb1a83257f59cd7dc8ca0e8c2eabd91cd0fb774ed5b93ac6e14912a2d9a86fc"),
     ("balance verify --variant psi --n 2000 --seed 7", 0,
-     "7937aa04c5e29d3baa81270ce3911a484e715c2678df4deedb4d194a900b5819"),
+     "f1bfce92632d50688233ad38d82a2495ae7da41a4f24b2ed35f24e4c0071cdac"),
     # the two matrix reports were re-recorded when MGIG draws at r <= 3
     # became exact, by rejection from a Wishart envelope: the draws, the
     # KS tests (now n against n, unthinned), the independence test and the
@@ -34,13 +37,13 @@ GOLDEN = [
     # the MGIG normalizers came to weigh the exact sampler's envelope
     # proposals: the same draws, but max_log_residual and residual_tol moved
     ("balance verify --variant matrix --r 2 --n 1000 --seed 7", 0,
-     "315758c544d1d4adf24791167b7b7b03c843f5c4cbbbf5828611846387ead54a"),
+     "3e08d1f03d5ee222cc9e441ed6a63d6684655c7141339740746df09dea003384"),
     # recorded at aeafd57: pins the d = 6 distance matrices and r = 3 draws.
     # Re-recorded when the importance weights of the MGIG normalizers came
     # to be computed from the Bartlett factor, not from x: the same draws,
     # but max_log_residual and residual_tol moved in their last digits
     ("balance verify --variant matrix --r 3 --n 1000 --seed 7", 0,
-     "8b18639095dee5aae3d3cb8db28403af31c670ddabe59083afeb8ecc3927868f"),
+     "a0e73f71dd5eb2565c5455cdd4dddecd141cb468fe3bb5dd16d67e5be896b874"),
     ("balance machinery --n 20000 --seed 7", 0,
      "c05180dd668d38bcfc1e5ceb8e0d70b7ea1ffa0c32865f89db0dcdc9a77a4a2b"),
     ("lattice stationarity --n 2000 --t 10 --probes 5,10 --seed 9", 0,
@@ -79,9 +82,11 @@ GOLDEN = [
     ("lattice stationarity --n 2000 --t 10 --c 1 --c2 2 --probes 5,10 --seed 9", 0,
      "8aa8943d9bc11104a52783e29868ac9a1817afef4a8aa5b09ee4dab018be1ab2"),
     # re-recorded when the GIG CDF came to integrate over one merged grid
-    # of cuts: the KS statistics and p-values moved in their last digits
+    # of cuts: the KS statistics and p-values moved in their last digits;
+    # and when the independence test came to stop at its 10th hit: only
+    # independence.p_value and independence.n_permutations moved
     ("balance verify --batch specs.txt --seed 7", 0,
-     "064ae22a5d03fd6525c1144e4752137e0999bc4c88e5035f100345731c5faef8"),
+     "55717e3da48632e600359796098c641f5ab279e35811c69712a3f61f45c535e9"),
     ("lattice run --t 3 --config run.cfg", 0,
      "6b1cdc20f2fe4aee52b109f4739cfe6e527d5f5b706e941eeb793ea9152d52e2"),
 ]
