@@ -10,6 +10,8 @@ O(n_sites) memory.  With x fixed, the carrier y moves along a row by the
 Moebius map of the nonnegative matrix [[alpha x^2, x], [beta x, 1]], so a
 row is a prefix product of 2x2 matrices (Blelloch 1990, CMU-CS-90-190),
 scanned in blocks of `_BLOCK` cells; each cell is still evaluated by `f_dk`.
+The scan holds cell k of every block in one contiguous array, so each of
+its `_BLOCK` steps, one `f_dk` call, works on contiguous memory.
 
 With boundary draws from the detailed-balance laws -- alternating between
 the input pair and the mapped pair according to the parity of n + t -- the
@@ -175,11 +177,18 @@ def _row(config: LatticeConfig, x_prev: np.ndarray, y_entry: float, t: int):
     (1) each block's composite matrix, all blocks at once; (2) the carrier
     entering each block, composed from y[0, t]; (3) every cell by `f_dk`,
     all blocks at once, each from its scanned entry carrier.
+
+    The padded row is held as xb[k, j], cell k of block j, so that each
+    step k of passes 1 and 3 works on one contiguous row.
     """
     n = len(x_prev)
-    xb = np.pad(x_prev, (0, -n % _BLOCK), constant_values=1.0)
-    xb = xb.reshape(-1, _BLOCK)  # the padding cells are computed, then dropped
-    m = len(xb) - 1  # the last block's composite feeds no later block
+    full, rest = divmod(n, _BLOCK)
+    # the padding cells are computed, then dropped; writing through the
+    # transposed view is several times faster than transposing a padded copy
+    xb = np.ones((_BLOCK, full + (rest > 0)))
+    xb.T[:full] = x_prev[:n - rest].reshape(full, _BLOCK)
+    xb[:rest, full:] = x_prev[n - rest:, None]
+    m = xb.shape[1] - 1  # the last block's composite feeds no later block
     a, b, c, d = np.ones(m), np.zeros(m), np.zeros(m), np.ones(m)
     al, be = config.map.alpha, config.map.beta
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -187,7 +196,7 @@ def _row(config: LatticeConfig, x_prev: np.ndarray, y_entry: float, t: int):
             # the cell matrix divided by max(x, 1): [[alpha x xs, xs],
             # [beta xs, s]] with xs = min(x, 1) and s = 1 / max(x, 1), whose
             # entries stay in range for every finite x > 0
-            x = xb[:-1, k]
+            x = xb[k, :-1]
             xs = np.minimum(x, 1.0)
             s, axs, bxs = xs / x, al * x * xs, be * xs
             a, b, c, d = axs * a + xs * c, axs * b + xs * d, bxs * a + s * c, bxs * b + s * d
@@ -204,14 +213,20 @@ def _row(config: LatticeConfig, x_prev: np.ndarray, y_entry: float, t: int):
     u, v = np.empty_like(xb), np.empty_like(xb)
     try:
         for k in range(_BLOCK):
-            u[:, k], carrier = f_dk(config.map, (xb[:, k], carrier))
-            v[:, k] = carrier
+            u[k], carrier = f_dk(config.map, (xb[k], carrier))
+            v[k] = carrier
     except DomainError:  # the cells' x are in range, so a carrier or an image left it
         raise _out_of_range(t) from None
-    x, y = u.ravel()[:n], v.ravel()[:n]
+    del xb
     # the scanned carrier entering each block equals the last cell before it
-    if not np.all(np.abs(entry[1:] - v[:-1, -1]) <= 1e-12 * v[:-1, -1]):
+    if not np.all(np.abs(entry[1:] - v[-1, :-1]) <= 1e-12 * v[-1, :-1]):
         raise ArithmeticError(f"scanned block carrier drifted in row {t}")
+    # back to natural order with xb released and u freed before v is copied:
+    # holding all three through the copies would add three rows to the peak
+    x = u.T.ravel()[:n]
+    del u
+    y = v.T.ravel()[:n]
+    del v
     # x y = x_prev y_in as (x / y_in)(y / x_prev) = 1: the factors are the
     # cell's ratio and its inverse, so no product can overflow
     ratio = (x / np.concatenate((entry[:1], y[:-1]))) * (y / x_prev)

@@ -46,6 +46,7 @@ class MapParams:
 
 
 _COORDINATES = "coordinates must be finite and > 0"
+_IMAGE = "the f_dk image leaves the floating-point range"
 
 
 def f_dk(p: MapParams, xy):
@@ -68,14 +69,19 @@ def f_dk(p: MapParams, xy):
             wa = p.alpha * xy_ + 1.0
             wb = p.beta * xy_ + 1.0
             u, v = y * wb / wa, x * wa / wb
+    try:
+        u, v = positive(_IMAGE, u, v)
+    except DomainError:
+        if p.alpha == 0.0 or p.beta == 0.0:
+            raise
+        # an intermediate may have overflowed; the ratio wb / wa lies between
+        # 1 and beta / alpha, and in this form only the image itself can
+        with np.errstate(over="ignore"):  # checked below
             ok = np.isfinite(u) & np.isfinite(v)
-            if not np.all(ok):
-                # an intermediate overflowed; the ratio wb / wa lies between 1
-                # and beta / alpha, and in this form only the image itself can
-                t, q = np.minimum(xy_, 1.0), 1.0 / np.maximum(xy_, 1.0)
-                ratio = (p.beta * t + q) / (p.alpha * t + q)
-                u, v = np.where(ok, u, y * ratio), np.where(ok, v, x / ratio)
-    u, v = positive("the f_dk image leaves the floating-point range", u, v)
+            t, q = np.minimum(xy_, 1.0), 1.0 / np.maximum(xy_, 1.0)
+            ratio = (p.beta * t + q) / (p.alpha * t + q)
+            u, v = np.where(ok, u, y * ratio), np.where(ok, v, x / ratio)
+        u, v = positive(_IMAGE, u, v)
     return (float(u), float(v)) if u.ndim == 0 else (u, v)
 
 

@@ -1,5 +1,6 @@
 """gigkdv.ks against scipy.stats: the same statistic and p-value in every bit."""
 
+import math
 import warnings
 
 import numpy as np
@@ -127,3 +128,54 @@ def test_equal_size_fallbacks_stay_out_of_the_delegated_window():
             d = h / n
             assert en * d * d <= 0.754693 or en * d <= 1.0, (n, h)
     assert fallbacks > 0
+
+
+def ks_2samp_search_both(a, b):
+    """`ks.ks_2samp` with F_a - F_b from right-sided searches of both samples
+    at every point of both: an oracle for every bit."""
+    a = np.sort(np.asarray(a, dtype=np.float64))
+    b = np.sort(np.asarray(b, dtype=np.float64))
+    if np.isnan(np.max(a)) or np.isnan(np.max(b)):
+        return math.nan, math.nan
+    n1, n2 = len(a), len(b)
+    both = np.concatenate([a, b])
+    cddiffs = (np.searchsorted(a, both, side="right") / n1
+               - np.searchsorted(b, both, side="right") / n2)
+    min_s = np.clip(-np.min(cddiffs), 0, 1)
+    max_s = np.max(cddiffs)
+    d = min_s if min_s > max_s else max_s
+    if max(n1, n2) <= ks._MAX_EXACT_2SAMP:
+        if n1 != n2:
+            res = stats.ks_2samp(a, b)
+            return float(res.statistic), float(res.pvalue)
+        h = round(d * n1)
+        d = h / n1
+        if h == 0:
+            return d, 1.0
+        p = ks._prob_outside_square(n1, h)
+        if 0 <= p <= 1:
+            return d, p
+    m, n = float(n1), float(n2)
+    return float(d), ks._kstwo_sf(d, round(m * n / (m + n)))
+
+
+@pytest.mark.parametrize("exact_limit", [ks._MAX_EXACT_2SAMP, 0],
+                         ids=["exact-nulls", "asymptotic-null"])
+def test_2samp_matches_the_search_both_oracle(exact_limit, monkeypatch):
+    # with no exact null, unequal sizes also reach the port's own statistic
+    # instead of scipy's; n1 >= 2 keeps the asymptotic null's
+    # round(n1 n2 / (n1 + n2)) draws >= 1
+    monkeypatch.setattr(ks, "_MAX_EXACT_2SAMP", exact_limit)
+    rng = rng_stream(36)
+    for case in range(1000):
+        n1 = int(rng.integers(2, 120))
+        n2 = n1 if case % 4 == 0 else int(rng.integers(1, 120))
+        if case % 3 == 0:  # integer values: ties within and across samples
+            a = rng.integers(0, 12, n1).astype(float)
+            b = rng.integers(1, 13, n2).astype(float)
+        else:
+            a, b = rng.normal(0.0, 1.0, n1), rng.normal(0.2, 1.0, n2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = ks_2samp_search_both(a, b)
+        assert ks.ks_2samp(a, b) == want, (case, n1, n2)

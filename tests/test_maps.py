@@ -6,12 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gigkdv import maps
-from gigkdv.errors import DomainError
+from gigkdv.errors import DomainError, positive
 
 coord = st.floats(1e-3, 1e3)
 params = st.sampled_from([maps.MapParams(1.0, 2.0), maps.MapParams(0.5, 3.0),
                           maps.MapParams(2.5, 0.1), maps.MapParams(1.0, 0.0),
                           maps.MapParams(0.0, 2.0)])
+FOUR_MAPS = [maps.MapParams(1.0, 2.0), maps.MapParams(0.5, 3.0),
+             maps.MapParams(1.0, 0.0), maps.MapParams(0.0, 2.0)]
 
 
 class TestFdk:
@@ -161,3 +163,65 @@ def test_param_validation():
 def test_check_battery_all_pass():
     rows = maps.check_battery(seed=20260809, n=2000)
     assert all(bool(r[-1]) for r in rows), [r for r in rows if not r[-1]]
+
+
+def f_dk_checked_first(p, xy):
+    """`maps.f_dk` with the overflow fallback tested on every general-branch
+    call, before the range check: an oracle for every bit and every error."""
+    x, y = positive(maps._COORDINATES, *xy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p.beta == 0.0:
+            w = p.alpha * x * y + 1.0
+            u, v = y / w, x * w
+        elif p.alpha == 0.0:
+            w = p.beta * x * y + 1.0
+            u, v = y * w, x / w
+        else:
+            xy_ = x * y
+            wa = p.alpha * xy_ + 1.0
+            wb = p.beta * xy_ + 1.0
+            u, v = y * wb / wa, x * wa / wb
+            ok = np.isfinite(u) & np.isfinite(v)
+            if not np.all(ok):
+                t, q = np.minimum(xy_, 1.0), 1.0 / np.maximum(xy_, 1.0)
+                ratio = (p.beta * t + q) / (p.alpha * t + q)
+                u, v = np.where(ok, u, y * ratio), np.where(ok, v, x / ratio)
+    u, v = positive("the f_dk image leaves the floating-point range", u, v)
+    return (float(u), float(v)) if u.ndim == 0 else (u, v)
+
+
+def outcome(f, p, xy):
+    """f(p, xy), or the message of the DomainError it raises."""
+    try:
+        return f(p, xy)
+    except DomainError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("p", FOUR_MAPS, ids=str)
+def test_f_dk_matches_the_checked_first_oracle(p):
+    rng = np.random.default_rng(36)
+    x, y = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (2, 200, 16)))
+    # 0-d points past the sampled range: an image that overflows after the
+    # fallback, and subnormal coordinates
+    edges = [(1.0, 1.7e308), (1.7e308, 1.0), (1e308, 1e308), (5e-324, 5e-324),
+             (5e-324, 1.7e308)]
+    cases = list(zip(x, y)) + list(zip(x[:, 0], y[:, 0])) + edges
+    kinds = set()
+    for xy in cases:
+        want = outcome(f_dk_checked_first, p, xy)
+        got = outcome(maps.f_dk, p, xy)
+        if isinstance(want, str):
+            assert got == want, xy
+            kinds.add("error")
+            continue
+        assert type(got[0]) is type(want[0]), xy
+        assert np.array_equal(got, want), xy
+        if p.alpha and p.beta:
+            with np.errstate(over="ignore", invalid="ignore"):
+                wa, wb = p.alpha * xy[0] * xy[1] + 1.0, p.beta * xy[0] * xy[1] + 1.0
+                if not np.all(np.isfinite(xy[1] * wb / wa)):
+                    kinds.add("fallback")
+        kinds.add("image")
+    assert kinds == ({"error", "image", "fallback"} if p.alpha and p.beta
+                     else {"error", "image"})
